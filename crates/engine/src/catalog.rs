@@ -212,6 +212,10 @@ pub struct Table {
     pub columns: Vec<Column>,
     pub rows: Arc<Vec<Row>>,
     pub indexes: Arc<Vec<Index>>,
+    /// Catalog version of this table's last change — schema, rows or
+    /// indexes. Cached plans record the stamp of every table they read
+    /// (see [`Catalog::deps_current`]).
+    pub stamp: u64,
 }
 
 impl Table {
@@ -291,12 +295,26 @@ pub struct FunctionDef {
     pub body: String,
 }
 
+/// One catalog object a prepared plan was resolved against. A plan is
+/// valid for a catalog exactly while all of its dependencies are current
+/// there ([`Catalog::deps_current`]).
+#[derive(Debug, Clone)]
+pub enum PlanDep {
+    /// A base table, at the [`Table::stamp`] the planner saw.
+    Table { name: String, stamp: u64 },
+    /// A function, by the definition the planner resolved. Holding the
+    /// `Arc` keeps its address from being reused, so pointer identity is
+    /// an exact test for "not redefined since".
+    Function(Arc<FunctionDef>),
+}
+
 /// The schema: tables + functions. Owned by a [`crate::Session`].
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: HashMap<String, Table>,
     functions: HashMap<String, Arc<FunctionDef>>,
-    /// Bumped on every DDL / DML that can invalidate cached plans.
+    /// Bumped on every DDL / DML; the table a change touches is stamped
+    /// with the new value.
     pub version: u64,
 }
 
@@ -311,11 +329,15 @@ impl Catalog {
             .ok_or_else(|| Error::plan(format!("relation {name:?} does not exist")))
     }
 
+    /// Mutable access to a table, stamping it as changed by a new version.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.version += 1;
-        self.tables
+        let t = self
+            .tables
             .get_mut(name)
-            .ok_or_else(|| Error::plan(format!("relation {name:?} does not exist")))
+            .ok_or_else(|| Error::plan(format!("relation {name:?} does not exist")))?;
+        t.stamp = self.version;
+        Ok(t)
     }
 
     pub fn has_table(&self, name: &str) -> bool {
@@ -334,6 +356,7 @@ impl Catalog {
                 columns,
                 rows: Arc::new(Vec::new()),
                 indexes: Arc::new(Vec::new()),
+                stamp: self.version,
             },
         );
         Ok(())
@@ -354,11 +377,7 @@ impl Catalog {
         column: &str,
         kind: IndexKind,
     ) -> Result<()> {
-        self.version += 1;
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| Error::plan(format!("relation {table:?} does not exist")))?;
+        let t = self.table_mut(table)?;
         let col = t
             .column_index(column)
             .ok_or_else(|| Error::plan(format!("column {column:?} of {table:?} does not exist")))?;
@@ -372,21 +391,12 @@ impl Catalog {
 
     /// Bulk insert used by workload generators (skips SQL parsing).
     pub fn bulk_insert(&mut self, table: &str, rows: Vec<Row>) -> Result<usize> {
-        self.version += 1;
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| Error::plan(format!("relation {table:?} does not exist")))?;
-        t.insert(rows)
+        self.table_mut(table)?.insert(rows)
     }
 
     /// Replace rows wholesale (UPDATE/DELETE execution path).
     pub fn replace_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<()> {
-        self.version += 1;
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| Error::plan(format!("relation {table:?} does not exist")))?;
+        let t = self.table_mut(table)?;
         t.rows = Arc::new(rows);
         t.reindex();
         Ok(())
@@ -414,6 +424,23 @@ impl Catalog {
             return Err(Error::plan(format!("function {name:?} does not exist")));
         }
         Ok(())
+    }
+
+    /// Whether a plan with these dependencies is valid against this
+    /// catalog: every table it read still exists at the same stamp and
+    /// every function it called is still the same definition. Equality,
+    /// not `<=`: a reader whose snapshot is older than the plan must not
+    /// get it either. This is the only plan-validity test there is.
+    pub fn deps_current(&self, deps: &[PlanDep]) -> bool {
+        deps.iter().all(|d| match d {
+            PlanDep::Table { name, stamp } => {
+                self.tables.get(name).is_some_and(|t| t.stamp == *stamp)
+            }
+            PlanDep::Function(def) => self
+                .functions
+                .get(&def.name)
+                .is_some_and(|f| Arc::ptr_eq(f, def)),
+        })
     }
 
     pub fn table_names(&self) -> Vec<&str> {
@@ -688,5 +715,67 @@ mod tests {
         let v1 = cat.version;
         cat.bulk_insert("t", vec![vec![Value::Int(1)]]).unwrap();
         assert!(cat.version > v1);
+    }
+
+    #[test]
+    fn stamps_follow_each_table_and_deps_compare_exactly() {
+        let mut cat = Catalog::new();
+        cat.create_table("t", cols(&[("a", Type::Int)])).unwrap();
+        cat.create_table("u", cols(&[("a", Type::Int)])).unwrap();
+        let def = FunctionDef {
+            name: "f".into(),
+            params: vec![],
+            returns: Type::Int,
+            language: Language::Sql,
+            body: "SELECT 1".into(),
+        };
+        cat.create_function(def.clone(), false).unwrap();
+        let deps = vec![
+            PlanDep::Table {
+                name: "t".into(),
+                stamp: cat.table("t").unwrap().stamp,
+            },
+            PlanDep::Function(Arc::clone(cat.function("f").unwrap())),
+        ];
+        let before = cat.clone();
+        assert!(cat.deps_current(&deps));
+        // Changing `u` leaves `t`'s stamp alone.
+        cat.bulk_insert("u", vec![vec![Value::Int(1)]]).unwrap();
+        cat.create_index("u_a", "u", "a", IndexKind::Btree).unwrap();
+        assert!(cat.deps_current(&deps));
+        // Every mutator of `t` restamps it with the new version.
+        let mutations: [fn(&mut Catalog); 5] = [
+            |c| {
+                c.table_mut("t").unwrap();
+            },
+            |c| {
+                c.bulk_insert("t", vec![vec![Value::Int(2)]]).unwrap();
+            },
+            |c| c.replace_rows("t", vec![]).unwrap(),
+            |c| c.create_index("t_a", "t", "a", IndexKind::Hash).unwrap(),
+            |c| {
+                c.drop_table("t", false).unwrap();
+                c.create_table("t", cols(&[("a", Type::Int)])).unwrap();
+            },
+        ];
+        for m in &mutations {
+            let mut c = before.clone();
+            m(&mut c);
+            assert_eq!(c.table("t").unwrap().stamp, c.version);
+            assert!(!c.deps_current(&deps));
+            // Exact comparison: the older catalog does not accept a plan
+            // built against the newer one either.
+            let newer = [PlanDep::Table {
+                name: "t".into(),
+                stamp: c.table("t").unwrap().stamp,
+            }];
+            assert!(!before.deps_current(&newer));
+        }
+        // A redefinition with an identical body is still a new definition.
+        let mut c = before.clone();
+        c.create_function(def, true).unwrap();
+        assert!(!c.deps_current(&deps));
+        c.drop_function("f", false).unwrap();
+        assert!(!c.deps_current(&deps));
     }
 }

@@ -12,9 +12,12 @@
 //! gives DDL/DML statement-level atomicity for free.
 //!
 //! The plan cache is keyed by statement text (plus parameter-scope shape)
-//! and shared across sessions; entries carry the catalog version they were
-//! planned against, so any commit — DDL in *another* session included —
-//! invalidates them on next lookup rather than serving a stale plan.
+//! and shared across sessions. Each entry carries the dependencies its
+//! planner recorded — the stamp of every table it read, the definition of
+//! every function it calls — and a lookup serves it only while all of them
+//! are current in the reader's snapshot. A commit therefore strands just
+//! the plans that read what it changed, in every session, rather than
+//! serving a stale plan or flushing the rest.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,9 +31,20 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot, PlanCacheStats};
 use crate::planner::PreparedPlan;
 use crate::session::Session;
 
-/// Soft cap on shared plan-cache entries; on overflow, entries planned
-/// against superseded catalog versions are evicted first.
+/// Soft cap on shared plan-cache entries; on overflow, entries whose
+/// dependencies the committed catalog no longer matches are evicted first.
 const PLAN_CACHE_CAP: usize = 4096;
+
+/// What a plan-cache lookup found.
+#[derive(Debug)]
+pub enum PlanLookup {
+    /// A plan valid for the reader's snapshot.
+    Hit(Arc<PreparedPlan>),
+    /// An entry whose dependencies have changed since it was planned.
+    Stale,
+    /// No entry under the key.
+    Miss,
+}
 
 /// Shared, thread-safe database state. See the module docs for the
 /// concurrency model; `DESIGN.md` has the full write-up.
@@ -43,7 +57,7 @@ pub struct Database {
     /// latest committed state (no lost updates between concurrent commits).
     writer: Mutex<()>,
     /// Statement text (+ param scope) -> prepared plan, shared by all
-    /// sessions. Entries are validated against the catalog version at
+    /// sessions. Entries are validated against the reader's snapshot at
     /// lookup time.
     plans: RwLock<HashMap<String, Arc<PreparedPlan>>>,
     plan_cache_hits: AtomicU64,
@@ -103,23 +117,37 @@ impl Database {
         Ok(out)
     }
 
-    /// Look up a cached plan. Returns it only if it was planned against
-    /// `catalog_version`; a stale entry counts as a miss (the caller
-    /// replans and [`Database::store_plan`] replaces it).
+    /// Look up a cached plan for a reader of `snapshot`. A hit is a plan
+    /// whose dependencies are all current there
+    /// ([`Catalog::deps_current`]); a stale or absent entry counts as a
+    /// miss (the caller replans and [`Database::store_plan`] replaces it).
+    pub fn lookup_plan(&self, key: &str, snapshot: &Catalog) -> PlanLookup {
+        let entry = read_lock(&self.plans).get(key).map(Arc::clone);
+        let found = match entry {
+            Some(p) if snapshot.deps_current(&p.deps) => PlanLookup::Hit(p),
+            Some(_) => PlanLookup::Stale,
+            None => PlanLookup::Miss,
+        };
+        let counter = match found {
+            PlanLookup::Hit(_) => &self.plan_cache_hits,
+            _ => &self.plan_cache_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// [`Database::lookup_plan`] for a reader of the committed catalog, named
+    /// by its version: a hit needs `catalog_version` to still be the
+    /// committed version, otherwise the lookup is a miss.
     pub fn cached_plan(&self, key: &str, catalog_version: u64) -> Option<Arc<PreparedPlan>> {
-        let hit = read_lock(&self.plans)
-            .get(key)
-            .filter(|p| p.catalog_version == catalog_version)
-            .map(Arc::clone);
-        match hit {
-            Some(p) => {
-                self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-                Some(p)
-            }
-            None => {
-                self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let committed = self.snapshot();
+        if committed.version != catalog_version {
+            self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        match self.lookup_plan(key, &committed) {
+            PlanLookup::Hit(p) => Some(p),
+            PlanLookup::Stale | PlanLookup::Miss => None,
         }
     }
 
@@ -128,8 +156,8 @@ impl Database {
         let mut plans = write_lock(&self.plans);
         if plans.len() >= PLAN_CACHE_CAP && !plans.contains_key(&key) {
             let before = plans.len();
-            let live = plan.catalog_version;
-            plans.retain(|_, p| p.catalog_version == live);
+            let committed = self.snapshot();
+            plans.retain(|_, p| committed.deps_current(&p.deps));
             if plans.len() >= PLAN_CACHE_CAP {
                 plans.clear();
             }
@@ -205,7 +233,7 @@ fn write_lock<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::Column;
+    use crate::catalog::{Column, PlanDep};
     use plaway_common::{Error, Type, Value};
 
     fn int_col(name: &str) -> Column {
@@ -245,19 +273,49 @@ mod tests {
         assert_eq!(db.snapshot().version, v);
     }
 
+    /// A stub plan reading `table` at its stamp in `cat`.
+    fn plan_over(cat: &Catalog, table: &str, sql: &str) -> Arc<PreparedPlan> {
+        let stamp = cat.table(table).unwrap().stamp;
+        Arc::new(PreparedPlan::test_stub(
+            sql,
+            vec![PlanDep::Table {
+                name: table.to_string(),
+                stamp,
+            }],
+        ))
+    }
+
     #[test]
     fn stale_plans_count_as_misses() {
         let db = Database::new(EngineConfig::raw());
-        let plan = Arc::new(PreparedPlan::test_stub("SELECT 1", 1));
-        db.store_plan("SELECT 1".into(), Arc::clone(&plan));
-        assert!(db.cached_plan("SELECT 1", 1).is_some());
-        assert!(db.cached_plan("SELECT 1", 2).is_none());
-        assert!(db.cached_plan("SELECT 2", 1).is_none());
+        db.commit(|cat| cat.create_table("t", vec![int_col("a")]))
+            .unwrap();
+        db.commit(|cat| cat.create_table("u", vec![int_col("a")]))
+            .unwrap();
+        let old = db.snapshot();
+        db.store_plan("q".into(), plan_over(&old, "t", "q"));
+        assert!(matches!(db.lookup_plan("q", &old), PlanLookup::Hit(_)));
+        assert!(db.cached_plan("q", old.version).is_some());
+        // A commit to a table the plan does not read keeps it valid; one to
+        // the table it reads makes it stale, in the new snapshot and for
+        // any version other than the committed one.
+        db.commit(|cat| cat.bulk_insert("u", vec![vec![Value::Int(1)]]))
+            .unwrap();
+        assert!(db.cached_plan("q", db.snapshot().version).is_some());
+        assert!(db.cached_plan("q", old.version).is_none());
+        db.commit(|cat| cat.bulk_insert("t", vec![vec![Value::Int(1)]]))
+            .unwrap();
+        assert!(matches!(
+            db.lookup_plan("q", &db.snapshot()),
+            PlanLookup::Stale
+        ));
+        assert!(matches!(db.lookup_plan("q", &old), PlanLookup::Hit(_)));
+        assert!(matches!(db.lookup_plan("r", &old), PlanLookup::Miss));
         assert_eq!(
             db.plan_cache_stats(),
             PlanCacheStats {
-                hits: 1,
-                misses: 2,
+                hits: 4,
+                misses: 3,
                 evictions: 0
             }
         );
@@ -266,24 +324,30 @@ mod tests {
     #[test]
     fn plan_cache_evicts_stale_versions_at_cap() {
         let db = Database::new(EngineConfig::raw());
+        db.commit(|cat| cat.create_table("t", vec![int_col("a")]))
+            .unwrap();
+        db.commit(|cat| cat.create_table("u", vec![int_col("a")]))
+            .unwrap();
+        let cat = db.snapshot();
+        let kept = PLAN_CACHE_CAP / 4;
         for i in 0..PLAN_CACHE_CAP {
-            db.store_plan(
-                format!("SELECT {i}"),
-                Arc::new(PreparedPlan::test_stub(&format!("SELECT {i}"), 1)),
-            );
+            let table = if i < kept { "t" } else { "u" };
+            let sql = format!("SELECT {i}");
+            db.store_plan(sql.clone(), plan_over(&cat, table, &sql));
         }
         assert_eq!(db.plan_cache_len(), PLAN_CACHE_CAP);
-        // Everything in the cache is stale relative to version 2, so the
-        // next insert sweeps the lot.
-        db.store_plan(
-            "fresh".into(),
-            Arc::new(PreparedPlan::test_stub("fresh", 2)),
-        );
-        assert_eq!(db.plan_cache_len(), 1);
+        // A commit to `u` strands every entry that reads it; the next
+        // insert sweeps exactly those and keeps the plans over `t`, which
+        // are still valid.
+        db.commit(|cat| cat.bulk_insert("u", vec![vec![Value::Int(1)]]))
+            .unwrap();
+        db.store_plan("fresh".into(), plan_over(&db.snapshot(), "u", "fresh"));
+        assert_eq!(db.plan_cache_len(), kept + 1);
         assert_eq!(
             db.plan_cache_stats().evictions,
-            PLAN_CACHE_CAP as u64,
+            (PLAN_CACHE_CAP - kept) as u64,
             "the capacity sweep must count every discarded entry"
         );
+        assert!(db.cached_plan("SELECT 0", db.snapshot().version).is_some());
     }
 }

@@ -159,16 +159,11 @@ impl RuntimeStats {
 }
 
 /// Cache of lazily planned SQL UDF bodies (name -> prepared body plan).
+/// An entry is reused while its dependencies — the function's own
+/// definition among them — are current in the runtime's catalog.
 #[derive(Default)]
 pub struct FnPlanCache {
     plans: HashMap<String, Arc<PreparedPlan>>,
-    catalog_version: u64,
-}
-
-impl FnPlanCache {
-    pub fn invalidate(&mut self) {
-        self.plans.clear();
-    }
 }
 
 /// Everything execution needs, split-borrowed from the session.
@@ -204,25 +199,22 @@ pub struct Runtime<'s> {
 
 impl<'s> Runtime<'s> {
     fn fn_plan(&mut self, name: &str) -> Result<Arc<PreparedPlan>> {
-        if self.fn_plans.catalog_version != self.catalog.version {
-            self.fn_plans.invalidate();
-            self.fn_plans.catalog_version = self.catalog.version;
-        }
         if let Some(p) = self.fn_plans.plans.get(name) {
-            return Ok(Arc::clone(p));
+            if self.catalog.deps_current(&p.deps) {
+                return Ok(Arc::clone(p));
+            }
         }
         let def = self
             .catalog
             .function(name)
-            .ok_or_else(|| Error::plan(format!("function {name:?} does not exist")))?
-            .clone();
+            .ok_or_else(|| Error::plan(format!("function {name:?} does not exist")))?;
         if def.language != Language::Sql {
             return Err(Error::unsupported(format!(
                 "function {name:?} is PL/pgSQL; evaluate it with the interpreter or compile it \
                  away (the engine executes SQL-language functions only)"
             )));
         }
-        let plan = Arc::new(plan_udf_body(self.catalog, &def, self.config.index_mode)?);
+        let plan = Arc::new(plan_udf_body(self.catalog, def, self.config.index_mode)?);
         self.fn_plans
             .plans
             .insert(name.to_string(), Arc::clone(&plan));

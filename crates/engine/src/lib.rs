@@ -36,10 +36,10 @@ pub mod vm;
 pub mod window;
 
 pub use catalog::{
-    query_output_columns, Catalog, Column, FunctionDef, Index, IndexKind, Row, Table,
+    query_output_columns, Catalog, Column, FunctionDef, Index, IndexKind, PlanDep, Row, Table,
 };
 pub use config::{EngineConfig, IndexMode, TierMode};
-pub use database::Database;
+pub use database::{Database, PlanLookup};
 pub use exec::RuntimeStats;
 pub use explain::AnalyzeState;
 pub use ir::{ExprIr, PlanNode};

@@ -23,7 +23,7 @@ use plaway_sql::ast::{
     WindowRef, WindowSpec,
 };
 
-use crate::catalog::{Catalog, FunctionDef};
+use crate::catalog::{Catalog, FunctionDef, PlanDep};
 use crate::config::IndexMode;
 use crate::ir::{
     AggFn, AggSpec, CtePlan, ExprIr, FrameIr, PlanNode, RecursionMode, ScalarFn, SortKey, WinFn,
@@ -55,23 +55,25 @@ pub struct PreparedPlan {
     /// Output column names.
     pub columns: Vec<String>,
     pub param_names: Vec<String>,
-    /// Catalog version at plan time; mismatches invalidate the cache entry.
-    pub catalog_version: u64,
+    /// The tables and functions the planner resolved, each once. The plan
+    /// is valid for exactly the catalogs where these are current
+    /// ([`Catalog::deps_current`]).
+    pub deps: Vec<PlanDep>,
     /// Number of CTE slots this plan allocates.
     pub cte_count: usize,
 }
 
 impl PreparedPlan {
     /// Minimal plan for cache-mechanics tests: a zero-row values scan
-    /// tagged with the given text and catalog version.
+    /// tagged with the given text and dependencies.
     #[cfg(test)]
-    pub(crate) fn test_stub(sql: &str, catalog_version: u64) -> PreparedPlan {
+    pub(crate) fn test_stub(sql: &str, deps: Vec<PlanDep>) -> PreparedPlan {
         PreparedPlan {
             sql: sql.to_string(),
             plan: PlanNode::Values { rows: Vec::new() },
             columns: Vec::new(),
             param_names: Vec::new(),
-            catalog_version,
+            deps,
             cte_count: 0,
         }
     }
@@ -153,6 +155,8 @@ pub struct Planner<'a> {
     ctes: Vec<CteBinding>,
     next_cte_index: usize,
     index_mode: IndexMode,
+    /// Catalog objects resolved so far (see [`PreparedPlan::deps`]).
+    deps: Vec<PlanDep>,
 }
 
 /// Plan a full query with an optional parameter scope, using the session's
@@ -169,6 +173,7 @@ pub fn plan_query(
         ctes: Vec::new(),
         next_cte_index: 0,
         index_mode,
+        deps: Vec::new(),
     };
     let mut chain = Vec::new();
     let (mut plan, scope) = p.plan_query(query, &mut chain)?;
@@ -180,7 +185,7 @@ pub fn plan_query(
         plan,
         columns: scope.names(),
         param_names: params.map(|ps| ps.names.clone()).unwrap_or_default(),
-        catalog_version: catalog.version,
+        deps: p.deps,
         cte_count: p.next_cte_index,
     })
 }
@@ -198,6 +203,7 @@ pub fn plan_expr(
         ctes: Vec::new(),
         next_cte_index: 0,
         index_mode,
+        deps: Vec::new(),
     };
     let chain: Vec<Scope> = Vec::new();
     let cx = ExprCx {
@@ -208,16 +214,25 @@ pub fn plan_expr(
 }
 
 /// Plan the body of a SQL-language UDF: a single query over the function's
-/// parameters, returning one column.
+/// parameters, returning one column. Besides what the body reads, the plan
+/// depends on `def` itself.
 pub fn plan_udf_body(
     catalog: &Catalog,
-    def: &FunctionDef,
+    def: &Arc<FunctionDef>,
     index_mode: IndexMode,
 ) -> Result<PreparedPlan> {
     let query = plaway_sql::parse_query(&def.body)
         .map_err(|e| Error::plan(format!("in body of function {:?}: {e}", def.name)))?;
     let ps = ParamScope::new(def.params.iter().map(|(n, _)| n.clone()).collect());
-    let plan = plan_query(catalog, &query, Some(&ps), index_mode)?;
+    let mut plan = plan_query(catalog, &query, Some(&ps), index_mode)?;
+    // A recursive body has recorded `def` already.
+    if !plan
+        .deps
+        .iter()
+        .any(|d| matches!(d, PlanDep::Function(f) if f.name == def.name))
+    {
+        plan.deps.push(PlanDep::Function(Arc::clone(def)));
+    }
     if plan.columns.len() != 1 {
         return Err(Error::plan(format!(
             "function {:?} body must return exactly one column, returns {}",
@@ -247,6 +262,18 @@ impl<'a> ExprCx<'a> {
 }
 
 impl<'a> Planner<'a> {
+    /// Record a resolved catalog object, once per object.
+    fn depend(&mut self, dep: PlanDep) {
+        let same = |d: &PlanDep| match (d, &dep) {
+            (PlanDep::Table { name: a, .. }, PlanDep::Table { name: b, .. }) => a == b,
+            (PlanDep::Function(a), PlanDep::Function(b)) => a.name == b.name,
+            _ => false,
+        };
+        if !self.deps.iter().any(same) {
+            self.deps.push(dep);
+        }
+    }
+
     // ------------------------------------------------------------ queries
 
     fn plan_query(&mut self, q: &Query, chain: &mut Vec<Scope>) -> Result<(PlanNode, Scope)> {
@@ -854,6 +881,11 @@ impl<'a> Planner<'a> {
                     return Ok((plan, Scope::from_names(Some(&qualifier), &names)));
                 }
                 let table = self.catalog.table(name)?;
+                // Index choice re-reads only tables recorded here.
+                self.depend(PlanDep::Table {
+                    name: name.clone(),
+                    stamp: table.stamp,
+                });
                 let cols: Vec<String> = table.columns.iter().map(|c| c.name.clone()).collect();
                 let names = alias_column_names(alias.as_ref(), &cols)?;
                 Ok((
@@ -1408,7 +1440,8 @@ impl<'a> Planner<'a> {
                     return Err(Error::plan(format!(
                         "aggregate function {name}() is not allowed here"
                     )));
-                } else if self.catalog.function(name).is_some() {
+                } else if let Some(def) = self.catalog.function(name) {
+                    self.depend(PlanDep::Function(Arc::clone(def)));
                     ExprIr::UdfCall {
                         name: name.clone(),
                         args: irs,

@@ -25,7 +25,7 @@ use plaway_sql::ast::{InsertSource, Language, Stmt};
 
 use crate::catalog::{Catalog, Column, FunctionDef, IndexKind, Row};
 use crate::config::{EngineConfig, IndexMode, TierMode};
-use crate::database::Database;
+use crate::database::{Database, PlanLookup};
 use crate::exec::{eval, exec, EvalEnv, FnPlanCache, Runtime, RuntimeStats, Scopes};
 use crate::explain::AnalyzeState;
 use crate::ir::ExprIr;
@@ -370,7 +370,7 @@ impl Session {
                         // does not plan fails the commit and the
                         // registration is discarded with it.
                         cat.create_function(def.clone(), true)?;
-                        plan_udf_body(cat, &def, index_mode)?;
+                        plan_udf_body(cat, &Arc::new(def), index_mode)?;
                         Ok(())
                     } else {
                         cat.create_function(def, or_replace)
@@ -679,32 +679,13 @@ impl Session {
     /// Prepare (or fetch from the shared cache) a query with a parameter
     /// scope. This is the interpreter's entry point for embedded queries:
     /// the first evaluation — by *any* session attached to this database —
-    /// plans and caches; subsequent evaluations re-use the plan. Preparing
-    /// refreshes the catalog snapshot, so a plan another session
-    /// invalidated with DDL is re-planned here rather than served stale.
+    /// plans and caches; subsequent evaluations re-use the plan until a
+    /// commit changes a table it reads or a function it calls. Preparing
+    /// refreshes the catalog snapshot and validates the cached plan against
+    /// it, so a plan another session's commit stranded is re-planned here
+    /// rather than served stale.
     pub fn prepare(&mut self, sql: &str, params: &ParamScope) -> Result<Arc<PreparedPlan>> {
-        self.refresh();
-        let key = cache_key(sql, params, self.config.index_mode, self.config.tier_mode);
-        if let Some(p) = self.db.cached_plan(&key, self.catalog.version) {
-            self.plan_cache_hits += 1;
-            if self.config.trace {
-                self.emit_trace("prepare", "\"cache\":\"hit\"");
-            }
-            return Ok(p);
-        }
-        self.plan_cache_misses += 1;
-        let query = plaway_sql::parse_query(sql)?;
-        let prepared = Arc::new(plan_query(
-            &self.catalog,
-            &query,
-            Some(params),
-            self.config.index_mode,
-        )?);
-        self.db.store_plan(key, Arc::clone(&prepared));
-        if self.config.trace {
-            self.emit_trace("prepare", "\"cache\":\"miss\"");
-        }
-        Ok(prepared)
+        self.prepare_keyed(sql, None, params)
     }
 
     fn prepare_query_text(
@@ -713,16 +694,39 @@ impl Session {
         query: &plaway_sql::ast::Query,
         params: &ParamScope,
     ) -> Result<Arc<PreparedPlan>> {
+        self.prepare_keyed(key, Some(query), params)
+    }
+
+    /// The shared-cache lookup behind both prepare paths; `query` is the
+    /// already-parsed `text`, if the caller has it.
+    fn prepare_keyed(
+        &mut self,
+        text: &str,
+        query: Option<&plaway_sql::ast::Query>,
+        params: &ParamScope,
+    ) -> Result<Arc<PreparedPlan>> {
         self.refresh();
-        let key = cache_key(key, params, self.config.index_mode, self.config.tier_mode);
-        if let Some(p) = self.db.cached_plan(&key, self.catalog.version) {
-            self.plan_cache_hits += 1;
-            if self.config.trace {
-                self.emit_trace("prepare", "\"cache\":\"hit\"");
+        let key = cache_key(text, params, self.config.index_mode, self.config.tier_mode);
+        let cache = match self.db.lookup_plan(&key, &self.catalog) {
+            PlanLookup::Hit(p) => {
+                self.plan_cache_hits += 1;
+                if self.config.trace {
+                    self.emit_trace("prepare", "\"cache\":\"hit\"");
+                }
+                return Ok(p);
             }
-            return Ok(p);
-        }
+            PlanLookup::Stale => "\"cache\":\"stale\"",
+            PlanLookup::Miss => "\"cache\":\"miss\"",
+        };
         self.plan_cache_misses += 1;
+        let parsed;
+        let query = match query {
+            Some(q) => q,
+            None => {
+                parsed = plaway_sql::parse_query(text)?;
+                &parsed
+            }
+        };
         let prepared = Arc::new(plan_query(
             &self.catalog,
             query,
@@ -731,7 +735,7 @@ impl Session {
         )?);
         self.db.store_plan(key, Arc::clone(&prepared));
         if self.config.trace {
-            self.emit_trace("prepare", "\"cache\":\"miss\"");
+            self.emit_trace("prepare", cache);
         }
         Ok(prepared)
     }
@@ -1557,10 +1561,25 @@ mod tests {
         assert_eq!(s.plan_cache_misses, 1);
         s.prepare("SELECT count(*) FROM t", &ps).unwrap();
         assert_eq!(s.plan_cache_hits, 1);
-        // DDL invalidates.
+        // DDL on a table the plan does not read keeps it.
         s.run("CREATE TABLE zz (x int)").unwrap();
         s.prepare("SELECT count(*) FROM t", &ps).unwrap();
-        assert_eq!(s.plan_cache_misses, 2, "DDL must invalidate and re-plan");
+        assert_eq!(
+            (s.plan_cache_hits, s.plan_cache_misses),
+            (2, 1),
+            "DDL on an unrelated table must not invalidate"
+        );
+        // DML into `t`, and an index on `t`, each strand it.
+        s.run("INSERT INTO t VALUES (4, 'four', 4.5)").unwrap();
+        let plan = s.prepare("SELECT count(*) FROM t", &ps).unwrap();
+        assert_eq!(s.plan_cache_misses, 2, "INSERT into t must re-plan");
+        assert_eq!(
+            s.execute_prepared(&plan, vec![]).unwrap().rows[0][0],
+            Value::Int(4)
+        );
+        s.run("CREATE INDEX t_a ON t (a)").unwrap();
+        s.prepare("SELECT count(*) FROM t", &ps).unwrap();
+        assert_eq!(s.plan_cache_misses, 3, "CREATE INDEX on t must re-plan");
     }
 
     #[test]
@@ -2002,13 +2021,19 @@ mod tests {
         s.run("INSERT INTO tr VALUES (1)").unwrap();
         s.run("SELECT v FROM tr").unwrap();
         s.run("SELECT v FROM tr").unwrap(); // cache hit
+        s.run("INSERT INTO tr VALUES (2)").unwrap();
+        s.run("SELECT v FROM tr").unwrap(); // the entry is there, but stale
         let events = db.take_trace();
         assert!(!events.is_empty());
         let all = events.join("\n");
+        let caches: Vec<&str> = events
+            .iter()
+            .filter(|e| e.contains("\"event\":\"prepare\""))
+            .filter_map(|e| e.split("\"cache\":\"").nth(1)?.split('"').next())
+            .collect();
+        assert_eq!(caches, ["miss", "hit", "stale"], "{all}");
         for needle in [
             "\"event\":\"prepare\"",
-            "\"cache\":\"miss\"",
-            "\"cache\":\"hit\"",
             "\"event\":\"start\"",
             "\"event\":\"run\"",
             "\"event\":\"end\"",

@@ -1,11 +1,14 @@
 //! Plan-cache correctness: a plan prepared once and executed N times must
 //! behave exactly like N fresh prepares — including across catalog
-//! mutation, where the cache must invalidate and re-plan rather than serve
-//! stale plans. These tests pin down the `Arc`-shared executor-state
-//! redesign (ExecutorStart no longer deep-copies the plan tree).
+//! mutation, where the cache must re-plan exactly the statements that read
+//! what a commit changed, and keep serving the rest. These tests also pin
+//! down the `Arc`-shared executor-state redesign (ExecutorStart no longer
+//! deep-copies the plan tree).
+
+use std::sync::Arc;
 
 use plaway_common::Value;
-use plaway_engine::{Database, EngineConfig, ParamScope, QueryResult, Session};
+use plaway_engine::{Database, EngineConfig, ParamScope, PlanLookup, QueryResult, Session};
 
 fn seeded_session() -> Session {
     let mut s = Session::default();
@@ -87,8 +90,8 @@ fn catalog_mutation_invalidates_and_replans() {
         Value::Int(4)
     );
 
-    // DML bumps the catalog version: the cache must re-plan, and the new
-    // plan must see the new rows (same as a fresh prepare).
+    // DML restamps `kv`, which the plan reads: the cache must re-plan,
+    // and the new plan must see the new rows (same as a fresh prepare).
     s.run("INSERT INTO kv VALUES (5, 50)").unwrap();
     let after = s.prepare(sql, &ps).unwrap();
     assert_eq!(
@@ -143,7 +146,7 @@ fn create_or_replace_in_one_session_invalidates_the_other() {
     assert_eq!((b.plan_cache_hits, b.plan_cache_misses), (1, 1));
 
     // Session A redefines f. Session B's next prepare must miss (the
-    // cached plan was built against the old catalog version) and the
+    // cached plan was built against the old definition of f) and the
     // re-planned query must see the new body.
     a.run("CREATE OR REPLACE FUNCTION f(x int) RETURNS int AS $$ SELECT x * 10 $$ LANGUAGE SQL")
         .unwrap();
@@ -253,9 +256,9 @@ fn create_index_invalidates_shared_cache_and_modes_key_separately() {
         "re-prepare before DDL must be a pure hit"
     );
 
-    // CREATE INDEX commits a new catalog version: the cached plan is stale,
-    // so the next prepare must MISS and re-plan into an index probe — with
-    // identical results.
+    // CREATE INDEX restamps t, which the plan reads: the cached plan is
+    // stale, so the next prepare must MISS and re-plan into an index probe
+    // — with identical results.
     a.run("CREATE INDEX t_k ON t (k)").unwrap();
     let before = db.plan_cache_stats();
     let probe = a.prepare(sql, &ps).unwrap();
@@ -296,4 +299,140 @@ fn create_index_invalidates_shared_cache_and_modes_key_separately() {
     off.prepare(sql, &ps).unwrap();
     let b3 = db.plan_cache_stats();
     assert_eq!((b3.hits, b3.misses), (b2.hits + 1, b2.misses));
+}
+
+/// Shared-cache (hits, misses) of `s`'s database.
+fn counts(s: &Session) -> (u64, u64) {
+    let st = s.database().plan_cache_stats();
+    (st.hits, st.misses)
+}
+
+#[test]
+fn dml_replans_only_the_statements_that_read_it() {
+    let mut s = seeded_session();
+    s.run("CREATE TABLE other (x int)").unwrap();
+    let ps = ParamScope::default();
+    let sql = "SELECT sum(v) FROM kv";
+    s.prepare(sql, &ps).unwrap();
+    let (h0, m0) = counts(&s);
+
+    // A commit to a table the plan does not read keeps the hit.
+    s.run("INSERT INTO other VALUES (1)").unwrap();
+    s.run("DELETE FROM other").unwrap();
+    let kept = s.prepare(sql, &ps).unwrap();
+    assert_eq!(counts(&s), (h0 + 1, m0), "DML on `other` must not re-plan");
+    assert_eq!(
+        s.execute_prepared(&kept, vec![]).unwrap().rows[0][0],
+        Value::Int(100)
+    );
+
+    // A commit to `kv` re-plans, and the new plan sees the new rows.
+    s.run("UPDATE kv SET v = v + 1 WHERE k = 1").unwrap();
+    let replanned = s.prepare(sql, &ps).unwrap();
+    assert_eq!(counts(&s), (h0 + 1, m0 + 1), "DML on `kv` must re-plan");
+    assert!(!Arc::ptr_eq(&kept, &replanned));
+    assert_eq!(
+        s.execute_prepared(&replanned, vec![]).unwrap().rows[0][0],
+        Value::Int(101)
+    );
+}
+
+#[test]
+fn recreated_table_with_reordered_columns_replans() {
+    let mut s = seeded_session();
+    let ps = ParamScope::new(vec!["needle".into()]);
+    let sql = "SELECT v FROM kv WHERE k = needle";
+    let plan = s.prepare(sql, &ps).unwrap();
+    assert_eq!(
+        s.execute_prepared(&plan, vec![Value::Int(2)]).unwrap().rows,
+        vec![vec![Value::Int(20)]]
+    );
+    let (_, m0) = counts(&s);
+
+    // Same name, same columns, swapped positions: a plan that kept the old
+    // slot numbers would read `k` where it means `v`.
+    s.run("DROP TABLE kv").unwrap();
+    s.run("CREATE TABLE kv (v int, k int)").unwrap();
+    s.run("INSERT INTO kv VALUES (20, 2), (30, 3)").unwrap();
+    let plan = s.prepare(sql, &ps).unwrap();
+    assert_eq!(counts(&s).1, m0 + 1, "the re-created table must re-plan");
+    assert_eq!(
+        s.execute_prepared(&plan, vec![Value::Int(2)]).unwrap().rows,
+        vec![vec![Value::Int(20)]]
+    );
+}
+
+#[test]
+fn redefined_or_dropped_function_replans() {
+    let db = Database::new(EngineConfig::raw());
+    let mut s = db.session();
+    s.run("CREATE FUNCTION f(x int) RETURNS int AS $$ SELECT x + 1 $$ LANGUAGE SQL")
+        .unwrap();
+    s.run("CREATE FUNCTION g(x int) RETURNS int AS $$ SELECT x $$ LANGUAGE SQL")
+        .unwrap();
+    let ps = ParamScope::new(vec!["n".into()]);
+    let sql = "SELECT f(n)";
+    s.prepare(sql, &ps).unwrap();
+    let (h0, m0) = counts(&s);
+
+    // Redefining a function the plan does not call keeps the hit.
+    s.run("CREATE OR REPLACE FUNCTION g(x int) RETURNS int AS $$ SELECT x * 2 $$ LANGUAGE SQL")
+        .unwrap();
+    s.prepare(sql, &ps).unwrap();
+    assert_eq!(counts(&s), (h0 + 1, m0));
+
+    // Redefining `f` re-plans, even with the same body.
+    s.run("CREATE OR REPLACE FUNCTION f(x int) RETURNS int AS $$ SELECT x + 1 $$ LANGUAGE SQL")
+        .unwrap();
+    let plan = s.prepare(sql, &ps).unwrap();
+    assert_eq!(counts(&s), (h0 + 1, m0 + 1));
+    assert_eq!(
+        s.execute_prepared(&plan, vec![Value::Int(1)]).unwrap().rows[0][0],
+        Value::Int(2)
+    );
+
+    // After DROP FUNCTION the cached plan is stale, and re-planning fails
+    // exactly as a prepare that never saw `f` does.
+    s.run("DROP FUNCTION f").unwrap();
+    let stale = s.prepare(sql, &ps).unwrap_err();
+    assert_eq!(counts(&s), (h0 + 1, m0 + 2));
+    let fresh = Session::new(EngineConfig::raw())
+        .prepare(sql, &ps)
+        .unwrap_err();
+    assert_eq!(stale.to_string(), fresh.to_string());
+}
+
+#[test]
+fn an_older_snapshot_never_gets_a_newer_plan() {
+    let db = Database::new(EngineConfig::raw());
+    let mut writer = db.session();
+    writer.run("CREATE TABLE t (k int)").unwrap();
+    writer.run("INSERT INTO t VALUES (1)").unwrap();
+    let sql = "SELECT count(*) FROM t";
+    let ps = ParamScope::default();
+
+    // A reader prepares, then keeps its snapshot while `t` changes.
+    let mut old_reader = db.session();
+    let old_plan = old_reader.prepare(sql, &ps).unwrap();
+    let old = Arc::clone(&old_reader.catalog);
+    writer.run("INSERT INTO t VALUES (2)").unwrap();
+
+    // A newer reader re-plans and publishes its plan under the same key.
+    let mut new_reader = db.session();
+    let new_plan = new_reader.prepare(sql, &ps).unwrap();
+    assert!(!Arc::ptr_eq(&old_plan, &new_plan));
+    assert_eq!(
+        new_reader.execute_prepared(&new_plan, vec![]).unwrap().rows[0][0],
+        Value::Int(2)
+    );
+
+    // Validation is exact: the older snapshot is told the entry is stale,
+    // never handed the plan built after the change; the committed snapshot
+    // gets exactly that plan.
+    assert!(matches!(db.lookup_plan(sql, &old), PlanLookup::Stale));
+    assert!(db.cached_plan(sql, old.version).is_none());
+    match db.lookup_plan(sql, &db.snapshot()) {
+        PlanLookup::Hit(p) => assert!(Arc::ptr_eq(&p, &new_plan)),
+        other => panic!("the committed snapshot must hit, got {other:?}"),
+    }
 }
