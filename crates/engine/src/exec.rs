@@ -2094,7 +2094,7 @@ fn run_pipeline_row(
     Ok(Some(row))
 }
 
-pub(crate) fn iteration_limit_error(mode: RecursionMode, limit: u64) -> Error {
+fn iteration_limit_error(mode: RecursionMode, limit: u64) -> Error {
     Error::exec(format!(
         "{} CTE exceeded {} iterations (possible infinite recursion)",
         match mode {
@@ -2104,6 +2104,57 @@ pub(crate) fn iteration_limit_error(mode: RecursionMode, limit: u64) -> Error {
         },
         limit
     ))
+}
+
+/// Start one fixpoint iteration over `working` rows: the iteration limit
+/// and the working-set high-water mark, for the VM loop and the mono tier
+/// alike. `iters` only ever counts iterations that ran.
+pub(crate) fn begin_iteration(
+    iters: &mut u64,
+    peak: &mut usize,
+    limit: u64,
+    mode: RecursionMode,
+    working: usize,
+) -> Result<()> {
+    if *iters >= limit {
+        return Err(iteration_limit_error(mode, limit));
+    }
+    *iters += 1;
+    *peak = (*peak).max(working);
+    Ok(())
+}
+
+/// What a fixpoint keeps: the one place the recursion modes differ. The VM
+/// loop and the mono tier ([`crate::tier::run_mono`]) both hand every
+/// iteration to it.
+pub(crate) enum Keep {
+    /// `WITH RECURSIVE`: the seed and every iteration's rows, appended to an
+    /// accounting tuplestore (PostgreSQL's algorithm).
+    Trace(Tuplestore),
+    /// `WITH ITERATE`: the last non-empty working table.
+    Last(Vec<Row>),
+    /// `WITH RETIRE`: no trace, and a working row that fails the recursive
+    /// arm's filter is *retired* into the result instead of being
+    /// discarded. The batch trampoline leans on this: one in-flight
+    /// activation per input row, all driven by one fixpoint, each leaving
+    /// the working set the moment its own iteration count is up.
+    Retired(Vec<Row>),
+}
+
+/// How the recursive arm turns one working table into the next; chosen once
+/// per fixpoint from the arm's shape.
+enum RowPath<'p> {
+    /// Row at a time, by value: through the fused transition when the arm
+    /// has one and the row has its width, else through the step pipeline.
+    /// No working-table map insert and no `Arc` churn.
+    Rows {
+        steps: Vec<Step<'p>>,
+        trans: Option<Transition<'p>>,
+    },
+    /// Any other arm (joins, sub-query self-references): executed once per
+    /// iteration over the working table, published under the CTE's index.
+    /// The `Arc` is recycled while it is the sole owner.
+    Exec(Arc<Vec<Row>>),
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -2122,310 +2173,174 @@ fn exec_recursive_cte(
     if !union_all {
         working.retain(|r| seen.insert(r.clone()));
     }
-    let limit = rt.config.max_recursive_iterations;
-    let steps = pipeline_steps(recursive, index);
-    let mut iters: u64 = 0;
-    // Working-set high-water mark across every driver shape, reported by
-    // EXPLAIN ANALYZE (and folded into the batch counters for Retire).
-    let mut peak: usize = working.len();
-    // Tier gate: owns the VM→mono promotion decision for this execution.
-    // The catalog reference is copied out so the gate's borrows stay
-    // disjoint from the runtime's mutable state.
-    let catalog = rt.catalog;
-    let mut gate = crate::tier::TierGate::new(tier, rt.config, catalog);
-
-    let result = match (mode, steps) {
-        (RecursionMode::Accumulate, Some(steps)) => {
-            // Fused driver: rows flow through the pipeline by value; the
-            // drained buffer is recycled as next iteration's output buffer.
-            let trans = try_transition(&steps);
-            let mut store = Tuplestore::new(rt.config.work_mem_bytes);
-            store.extend(working.iter().cloned());
-            let mut next: Vec<Row> = Vec::new();
-            loop {
-                // The fixpoint may already be drained (the threshold can be
-                // crossed on the very pass the VM emptied the set); promoting
-                // then would run mono over nothing and, for ITERATE, clobber
-                // the surviving iteration.
-                if working.is_empty() {
-                    break;
-                }
-                gate.try_promote(env, iters, rt.stats);
-                if let Some((prog, bound)) = gate.mono() {
-                    let mut cx = crate::tier::MonoCx {
-                        iters: &mut iters,
-                        peak: &mut peak,
-                        limit,
-                        mode,
-                        stats: rt.stats,
-                    };
-                    match crate::tier::run_mono_accumulate(
-                        prog,
-                        bound,
-                        &mut cx,
-                        &mut working,
-                        &mut store,
-                    )? {
-                        crate::tier::MonoOutcome::Finished => {}
-                        crate::tier::MonoOutcome::Demoted => gate.demote(),
-                    }
-                }
-                if working.is_empty() {
-                    break;
-                }
-                iters += 1;
-                if iters > limit {
-                    return Err(iteration_limit_error(mode, limit));
-                }
-                peak = peak.max(working.len());
-                for mut row in working.drain(..) {
-                    match &trans {
-                        Some(t) if row.len() == t.src => {
-                            if run_transition_row(t, &mut row, env, rt)? {
-                                next.push(row);
-                            }
-                        }
-                        _ => {
-                            if let Some(out) = run_pipeline_row(&steps, row, env, rt)? {
-                                next.push(out);
-                            }
-                        }
-                    }
-                }
-                if !union_all {
-                    next.retain(|r| seen.insert(r.clone()));
-                }
-                store.extend(next.iter().cloned());
-                std::mem::swap(&mut working, &mut next);
-                gate.tick();
-            }
-            store.finish(rt.buffers)
-        }
-        (RecursionMode::IterateOnly, Some(steps)) => {
-            // WITH ITERATE: only the final iteration survives. The previous
-            // working table is kept by swap, not by cloning it wholesale.
-            let trans = try_transition(&steps);
-            let mut prev: Vec<Row> = Vec::new();
-            loop {
-                // The fixpoint may already be drained (the threshold can be
-                // crossed on the very pass the VM emptied the set); promoting
-                // then would run mono over nothing and, for ITERATE, clobber
-                // the surviving iteration.
-                if working.is_empty() {
-                    break;
-                }
-                gate.try_promote(env, iters, rt.stats);
-                if let Some((prog, bound)) = gate.mono() {
-                    let mut cx = crate::tier::MonoCx {
-                        iters: &mut iters,
-                        peak: &mut peak,
-                        limit,
-                        mode,
-                        stats: rt.stats,
-                    };
-                    match crate::tier::run_mono_iterate(
-                        prog,
-                        bound,
-                        &mut cx,
-                        &mut working,
-                        &mut prev,
-                    )? {
-                        crate::tier::MonoOutcome::Finished => {}
-                        crate::tier::MonoOutcome::Demoted => gate.demote(),
-                    }
-                }
-                if working.is_empty() {
-                    break;
-                }
-                iters += 1;
-                if iters > limit {
-                    return Err(iteration_limit_error(mode, limit));
-                }
-                peak = peak.max(working.len());
-                let mut next = Vec::with_capacity(working.len());
-                for row in &working {
-                    let mut row = row.clone();
-                    match &trans {
-                        Some(t) if row.len() == t.src => {
-                            if run_transition_row(t, &mut row, env, rt)? {
-                                next.push(row);
-                            }
-                        }
-                        _ => {
-                            if let Some(out) = run_pipeline_row(&steps, row, env, rt)? {
-                                next.push(out);
-                            }
-                        }
-                    }
-                }
-                if !union_all {
-                    next.retain(|r| seen.insert(r.clone()));
-                }
-                prev = std::mem::replace(&mut working, next);
-                gate.tick();
-            }
-            prev
-        }
-        (RecursionMode::Retire, Some(steps)) => {
-            // WITH RETIRE: no trace, and a working row that fails the
-            // recursive arm's filter is *retired* into the final result
-            // instead of being discarded. The batch trampoline leans on
-            // this: one in-flight activation per input row, all driven by
-            // this single fixpoint, each leaving the working set the
-            // moment its own iteration count is up — never re-scanned.
-            let trans = try_transition(&steps);
-            let mut retired: Vec<Row> = Vec::new();
-            let mut next: Vec<Row> = Vec::new();
-            loop {
-                // The fixpoint may already be drained (the threshold can be
-                // crossed on the very pass the VM emptied the set); promoting
-                // then would run mono over nothing and, for ITERATE, clobber
-                // the surviving iteration.
-                if working.is_empty() {
-                    break;
-                }
-                gate.try_promote(env, iters, rt.stats);
-                if let Some((prog, bound)) = gate.mono() {
-                    let mut cx = crate::tier::MonoCx {
-                        iters: &mut iters,
-                        peak: &mut peak,
-                        limit,
-                        mode,
-                        stats: rt.stats,
-                    };
-                    match crate::tier::run_mono_retire(
-                        prog,
-                        bound,
-                        &mut cx,
-                        &mut working,
-                        &mut retired,
-                    )? {
-                        crate::tier::MonoOutcome::Finished => {}
-                        crate::tier::MonoOutcome::Demoted => gate.demote(),
-                    }
-                }
-                if working.is_empty() {
-                    break;
-                }
-                iters += 1;
-                if iters > limit {
-                    return Err(iteration_limit_error(mode, limit));
-                }
-                peak = peak.max(working.len());
-                for mut row in working.drain(..) {
-                    match &trans {
-                        Some(t) if row.len() == t.src => {
-                            // Test the `call?` flag before running the
-                            // body: finished activations retire without
-                            // paying one more transition evaluation.
-                            if let Some(i) = t.pred_slot {
-                                if !row[i].is_true() {
-                                    retired.push(row);
-                                    continue;
-                                }
-                            }
-                            if run_transition_row(t, &mut row, env, rt)? {
-                                // Retire a just-finished activation now
-                                // rather than re-scanning it next pass:
-                                // with a slot predicate, "fails the filter
-                                // next iteration" is visible the moment
-                                // the transition writes the flag. (Under
-                                // plain UNION the row must still pass
-                                // through the dedup set first.)
-                                match t.pred_slot {
-                                    Some(i) if union_all && !row[i].is_true() => retired.push(row),
-                                    _ => next.push(row),
-                                }
-                            } else {
-                                retired.push(row);
-                            }
-                        }
-                        _ => {
-                            // General pipeline: the retirement rule is on
-                            // the *input* row — the activation as it last
-                            // left the working set, not a half-transformed
-                            // intermediate.
-                            let orig = row.clone();
-                            match run_pipeline_row(&steps, row, env, rt)? {
-                                Some(out) => next.push(out),
-                                None => retired.push(orig),
-                            }
-                        }
-                    }
-                }
-                if !union_all {
-                    next.retain(|r| seen.insert(r.clone()));
-                }
-                std::mem::swap(&mut working, &mut next);
-                gate.tick();
-            }
-            let batch = &mut rt.stats.batch;
-            batch.batch_rows_in_flight = batch.batch_rows_in_flight.max(peak as u64);
-            batch.batch_rows_retired += retired.len() as u64;
-            retired
-        }
-        (RecursionMode::Retire, None) => {
+    let mut path = match pipeline_steps(recursive, index) {
+        Some(steps) => RowPath::Rows {
+            trans: try_transition(&steps),
+            steps,
+        },
+        None if mode == RecursionMode::Retire => {
             return Err(Error::exec(
                 "WITH RETIRE requires a pipeline-shaped recursive arm \
                  (a single scan of the working table; joins and sub-query \
                  self-references cannot retire individual rows)",
             ));
         }
-        (RecursionMode::Accumulate, None) => {
-            // General driver (joins, sub-query self-references, ...):
-            // PostgreSQL's algorithm, every iteration appends to the result
-            // tuplestore. The working-table Arc is recycled when sole owner.
+        None => RowPath::Exec(Arc::default()),
+    };
+    let mut keep = match mode {
+        RecursionMode::Accumulate => {
             let mut store = Tuplestore::new(rt.config.work_mem_bytes);
             store.extend(working.iter().cloned());
-            let mut slot: Arc<Vec<Row>> = Arc::new(Vec::new());
-            while !working.is_empty() {
-                iters += 1;
-                if iters > limit {
-                    return Err(iteration_limit_error(mode, limit));
-                }
-                peak = peak.max(working.len());
-                match Arc::get_mut(&mut slot) {
-                    Some(buf) => {
-                        buf.clear();
-                        buf.append(&mut working);
-                    }
-                    None => slot = Arc::new(std::mem::take(&mut working)),
-                }
-                rt.working.insert(index, Arc::clone(&slot));
-                let exec_result = exec(recursive, env, rt);
-                rt.working.remove(&index);
-                let mut next = exec_result?;
-                if !union_all {
-                    next.retain(|r| seen.insert(r.clone()));
-                }
-                store.extend(next.iter().cloned());
-                working = next;
-            }
-            store.finish(rt.buffers)
+            Keep::Trace(store)
         }
-        (RecursionMode::IterateOnly, None) => {
-            let mut last: Vec<Row> = Vec::new();
-            while !working.is_empty() {
-                iters += 1;
-                if iters > limit {
-                    return Err(iteration_limit_error(mode, limit));
-                }
-                peak = peak.max(working.len());
-                let cur = Arc::new(std::mem::take(&mut working));
-                rt.working.insert(index, Arc::clone(&cur));
-                let exec_result = exec(recursive, env, rt);
-                rt.working.remove(&index);
-                let mut next = exec_result?;
-                if !union_all {
-                    next.retain(|r| seen.insert(r.clone()));
-                }
-                last = Arc::try_unwrap(cur).unwrap_or_else(|a| (*a).clone());
-                working = next;
+        RecursionMode::IterateOnly => Keep::Last(Vec::new()),
+        RecursionMode::Retire => Keep::Retired(Vec::new()),
+    };
+    let limit = rt.config.max_recursive_iterations;
+    let mut iters: u64 = 0;
+    // Working-set high-water mark, reported by EXPLAIN ANALYZE (and folded
+    // into the batch counters for Retire).
+    let mut peak: usize = working.len();
+    // Tier gate: owns the VM→mono promotion decision for this execution.
+    // The catalog reference is copied out so the gate's borrows stay
+    // disjoint from the runtime's mutable state.
+    let catalog = rt.catalog;
+    let mut gate = crate::tier::TierGate::new(tier, rt.config, catalog);
+    let mut next: Vec<Row> = Vec::new();
+
+    let outcome = (|| -> Result<()> {
+        loop {
+            // The fixpoint may already be drained (the threshold can be
+            // crossed on the very pass the VM emptied the set); promoting
+            // then would run mono over nothing and, for ITERATE, clobber
+            // the surviving iteration.
+            if working.is_empty() {
+                return Ok(());
             }
-            last
+            gate.try_promote(env, iters, rt.stats);
+            if let Some((prog, bound)) = gate.mono() {
+                let mut cx = crate::tier::MonoCx {
+                    iters: &mut iters,
+                    peak: &mut peak,
+                    limit,
+                    mode,
+                    stats: rt.stats,
+                };
+                match crate::tier::run_mono(prog, bound, &mut cx, &mut working, &mut keep)? {
+                    crate::tier::MonoOutcome::Finished => return Ok(()),
+                    crate::tier::MonoOutcome::Demoted => gate.demote(),
+                }
+            }
+            begin_iteration(&mut iters, &mut peak, limit, mode, working.len())?;
+            match (&mut path, &mut keep) {
+                (RowPath::Rows { steps, trans }, Keep::Retired(retired)) => {
+                    for mut row in working.drain(..) {
+                        match trans {
+                            Some(t) if row.len() == t.src => {
+                                // Test the `call?` flag before running the
+                                // body: finished activations retire without
+                                // paying one more transition evaluation.
+                                if let Some(i) = t.pred_slot {
+                                    if !row[i].is_true() {
+                                        retired.push(row);
+                                        continue;
+                                    }
+                                }
+                                if run_transition_row(t, &mut row, env, rt)? {
+                                    // Retire a just-finished activation now
+                                    // rather than re-scanning it next pass:
+                                    // with a slot predicate, "fails the filter
+                                    // next iteration" is visible the moment
+                                    // the transition writes the flag. (Under
+                                    // plain UNION the row must still pass
+                                    // through the dedup set first.)
+                                    match t.pred_slot {
+                                        Some(i) if union_all && !row[i].is_true() => {
+                                            retired.push(row)
+                                        }
+                                        _ => next.push(row),
+                                    }
+                                } else {
+                                    retired.push(row);
+                                }
+                            }
+                            _ => {
+                                // General pipeline: the retirement rule is on
+                                // the *input* row — the activation as it last
+                                // left the working set, not a half-transformed
+                                // intermediate.
+                                let orig = row.clone();
+                                match run_pipeline_row(steps, row, env, rt)? {
+                                    Some(out) => next.push(out),
+                                    None => retired.push(orig),
+                                }
+                            }
+                        }
+                    }
+                }
+                (RowPath::Rows { steps, trans }, keep) => {
+                    // ITERATE keeps this iteration's input, which the
+                    // rows below consume.
+                    if let Keep::Last(last) = keep {
+                        last.clone_from(&working);
+                    }
+                    for mut row in working.drain(..) {
+                        match trans {
+                            Some(t) if row.len() == t.src => {
+                                if run_transition_row(t, &mut row, env, rt)? {
+                                    next.push(row);
+                                }
+                            }
+                            _ => {
+                                if let Some(out) = run_pipeline_row(steps, row, env, rt)? {
+                                    next.push(out);
+                                }
+                            }
+                        }
+                    }
+                }
+                (RowPath::Exec(slot), keep) => {
+                    match Arc::get_mut(slot) {
+                        Some(buf) => {
+                            buf.clear();
+                            buf.append(&mut working);
+                        }
+                        None => *slot = Arc::new(std::mem::take(&mut working)),
+                    }
+                    rt.working.insert(index, Arc::clone(slot));
+                    let exec_result = exec(recursive, env, rt);
+                    rt.working.remove(&index);
+                    next = exec_result?;
+                    // ITERATE keeps this iteration's input: take it back.
+                    if let Keep::Last(last) = keep {
+                        std::mem::swap(last, Arc::make_mut(slot));
+                    }
+                }
+            }
+            if !union_all {
+                next.retain(|r| seen.insert(r.clone()));
+            }
+            if let Keep::Trace(store) = &mut keep {
+                store.extend(next.iter().cloned());
+            }
+            std::mem::swap(&mut working, &mut next);
+            gate.tick();
+        }
+    })();
+    // The one exit: iterations, batch counters and tuplestore pages are
+    // accounted whether the fixpoint finished or failed.
+    rt.stats.recursive_iterations += iters;
+    let result = match keep {
+        Keep::Trace(store) => store.finish(rt.buffers),
+        Keep::Last(last) => last,
+        Keep::Retired(retired) => {
+            let batch = &mut rt.stats.batch;
+            batch.batch_rows_in_flight = batch.batch_rows_in_flight.max(peak as u64);
+            batch.batch_rows_retired += retired.len() as u64;
+            retired
         }
     };
-    rt.stats.recursive_iterations += iters;
+    outcome?;
     if let Some(state) = rt.analyze.as_deref_mut() {
         let retired = match mode {
             RecursionMode::Retire => result.len() as u64,

@@ -1466,6 +1466,26 @@ mod tests {
         // flight at the high-water mark, and all three retire.
         assert_eq!(s.stats.batch.batch_rows_in_flight, 3);
         assert_eq!(s.stats.batch.batch_rows_retired, 3);
+        // Under UNION a duplicate seed is dropped before it runs, so it
+        // retires once.
+        s.run("INSERT INTO seeds VALUES (2, 3)").unwrap();
+        s.reset_instrumentation();
+        let r = s
+            .run(
+                "WITH RETIRE c(id, lim, x) AS (SELECT id, lim, 0 FROM seeds \
+                 UNION SELECT id, lim, x + 1 FROM c WHERE x < lim) \
+                 SELECT id, x FROM c ORDER BY id",
+            )
+            .unwrap();
+        assert_eq!(
+            r.rows,
+            vec![
+                vec![Value::Int(1), Value::Int(1)],
+                vec![Value::Int(2), Value::Int(3)],
+                vec![Value::Int(3), Value::Int(5)],
+            ]
+        );
+        assert_eq!(s.stats.batch.batch_rows_retired, 3);
     }
 
     #[test]

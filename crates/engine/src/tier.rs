@@ -33,10 +33,9 @@ use plaway_sql::ast::BinOp;
 
 use crate::catalog::{Catalog, Index, Row};
 use crate::config::{EngineConfig, TierMode};
-use crate::exec::{iteration_limit_error, EvalEnv, RuntimeStats};
+use crate::exec::{begin_iteration, EvalEnv, Keep, RuntimeStats};
 use crate::functions::{eval_scalar, like_match};
 use crate::ir::{ExprIr, PlanNode, RecursionMode};
-use crate::tuplestore::Tuplestore;
 use crate::vm::{chain_flattenable, chain_shape, plan_free_scopes};
 
 /// Let-chain register ceiling; compiled kernels use a handful of cells.
@@ -1465,7 +1464,7 @@ impl<'p, 'c> TierGate<'p, 'c> {
 }
 
 // ---------------------------------------------------------------------------
-// Mono drivers (one per recursion mode)
+// Mono driver
 
 /// How a mono phase ended.
 pub(crate) enum MonoOutcome {
@@ -1486,15 +1485,6 @@ pub(crate) struct MonoCx<'a> {
 }
 
 impl MonoCx<'_> {
-    fn begin_iteration(&mut self, working: usize) -> Result<()> {
-        *self.iters += 1;
-        if *self.iters > self.limit {
-            return Err(iteration_limit_error(self.mode, self.limit));
-        }
-        *self.peak = (*self.peak).max(working);
-        Ok(())
-    }
-
     fn commit(&mut self, local: &TierRowStats) {
         self.stats.subplan_evals += local.subplan_evals;
         self.stats.index_probes += local.index_probes;
@@ -1552,170 +1542,100 @@ fn mono_row(
     Ok(Some(out))
 }
 
-/// `WITH ITERATE` mono phase: only the final iteration survives. On
-/// completion `prev` holds it; on demotion `working` (and `prev`) are
-/// restored for the VM to continue.
-pub(crate) fn run_mono_iterate(
+/// The mono phase of a fixpoint: typed iterations over `working`, each
+/// committed one handed to `keep` exactly as the VM loop would. On
+/// completion `working` is empty; on demotion it holds the input of the
+/// iteration that bailed, which re-runs in the VM.
+pub(crate) fn run_mono(
     prog: &TierProgram,
     bound: &TierBound<'_>,
     cx: &mut MonoCx<'_>,
     working: &mut Vec<Row>,
-    prev: &mut Vec<Row>,
+    keep: &mut Keep,
 ) -> Result<MonoOutcome> {
-    if working.is_empty() {
-        return Ok(MonoOutcome::Finished);
-    }
     let Some(mut tcur) = to_typed(working, prog.width) else {
         return Ok(MonoOutcome::Demoted);
     };
     working.clear();
+    // `tprev` is the last committed iteration's input, kept typed for
+    // `Keep::Last` and converted once at the end.
     let mut tprev: Vec<TRow> = Vec::new();
-    let mut tnext: Vec<TRow> = Vec::new();
-    let mut pool: Vec<TRow> = Vec::new();
-    let mut scratch = chain_scratch(&prog.produce);
-    loop {
-        if tcur.is_empty() {
-            *prev = tprev.iter().map(|r| row_of(r)).collect();
-            return Ok(MonoOutcome::Finished);
-        }
-        cx.begin_iteration(tcur.len())?;
-        let mut local = TierRowStats::default();
-        let mut demoted = false;
-        for trow in &tcur {
-            match mono_row(prog, bound, trow, &mut pool, &mut local, &mut scratch) {
-                Ok(Some(out)) => tnext.push(out),
-                Ok(None) => {}
-                Err(Demote) => {
-                    demoted = true;
-                    break;
-                }
-            }
-        }
-        if demoted {
-            // Roll back the uncommitted iteration: the VM re-runs it and
-            // counts it itself.
-            *cx.iters -= 1;
-            *working = tcur.iter().map(|r| row_of(r)).collect();
-            *prev = tprev.iter().map(|r| row_of(r)).collect();
-            return Ok(MonoOutcome::Demoted);
-        }
-        cx.commit(&local);
-        // Rotate the three buffers instead of reallocating: prev's rows
-        // recycle into the pool, cur becomes prev, next becomes cur, and
-        // the emptied vec is next iteration's output buffer.
-        pool.append(&mut tprev);
-        std::mem::swap(&mut tprev, &mut tcur);
-        std::mem::swap(&mut tcur, &mut tnext);
-    }
-}
-
-/// `WITH RECURSIVE` (UNION ALL) mono phase: every committed iteration's
-/// rows are appended to the accounting tuplestore, exactly like the VM
-/// driver.
-pub(crate) fn run_mono_accumulate(
-    prog: &TierProgram,
-    bound: &TierBound<'_>,
-    cx: &mut MonoCx<'_>,
-    working: &mut Vec<Row>,
-    store: &mut Tuplestore,
-) -> Result<MonoOutcome> {
-    let Some(mut tcur) = to_typed(working, prog.width) else {
-        return Ok(MonoOutcome::Demoted);
-    };
-    working.clear();
-    let mut tnext: Vec<TRow> = Vec::new();
-    let mut pool: Vec<TRow> = Vec::new();
-    let mut scratch = chain_scratch(&prog.produce);
-    loop {
-        if tcur.is_empty() {
-            return Ok(MonoOutcome::Finished);
-        }
-        cx.begin_iteration(tcur.len())?;
-        let mut local = TierRowStats::default();
-        let mut demoted = false;
-        for trow in &tcur {
-            match mono_row(prog, bound, trow, &mut pool, &mut local, &mut scratch) {
-                Ok(Some(out)) => tnext.push(out),
-                Ok(None) => {}
-                Err(Demote) => {
-                    demoted = true;
-                    break;
-                }
-            }
-        }
-        if demoted {
-            *cx.iters -= 1;
-            *working = tcur.iter().map(|r| row_of(r)).collect();
-            return Ok(MonoOutcome::Demoted);
-        }
-        cx.commit(&local);
-        store.extend(tnext.iter().map(|r| row_of(r)));
-        pool.append(&mut tcur);
-        std::mem::swap(&mut tcur, &mut tnext);
-    }
-}
-
-/// `WITH RETIRE` mono phase: rows failing the transition filter leave the
-/// working set into `retired`. Mirrors the VM driver's early-retire
-/// shortcuts on the `call?` slot, both before the body (input row already
-/// done) and after it (output row provably finished).
-pub(crate) fn run_mono_retire(
-    prog: &TierProgram,
-    bound: &TierBound<'_>,
-    cx: &mut MonoCx<'_>,
-    working: &mut Vec<Row>,
-    retired: &mut Vec<Row>,
-) -> Result<MonoOutcome> {
-    let Some(mut tcur) = to_typed(working, prog.width) else {
-        return Ok(MonoOutcome::Demoted);
-    };
-    working.clear();
     let mut tnext: Vec<TRow> = Vec::new();
     let mut pool: Vec<TRow> = Vec::new();
     let mut scratch = chain_scratch(&prog.produce);
     let mut iter_retired: Vec<Row> = Vec::new();
     loop {
         if tcur.is_empty() {
+            if let Keep::Last(last) = keep {
+                *last = tprev.iter().map(|r| row_of(r)).collect();
+            }
             return Ok(MonoOutcome::Finished);
         }
-        cx.begin_iteration(tcur.len())?;
+        begin_iteration(cx.iters, cx.peak, cx.limit, cx.mode, tcur.len())?;
         let mut local = TierRowStats::default();
         let mut demoted = false;
-        for trow in &tcur {
-            if let Some(i) = prog.pred_slot {
-                // Finished activation: retire without paying one more
-                // transition evaluation (the VM driver's pre-check).
-                if !matches!(trow[i], TCell::Bool(true)) {
-                    local.rows += 1;
-                    iter_retired.push(row_of(trow));
-                    continue;
+        match keep {
+            Keep::Retired(_) => {
+                for trow in &tcur {
+                    if let Some(i) = prog.pred_slot {
+                        // Finished activation: retire without paying one more
+                        // transition evaluation (the VM driver's pre-check).
+                        if !matches!(trow[i], TCell::Bool(true)) {
+                            local.rows += 1;
+                            iter_retired.push(row_of(trow));
+                            continue;
+                        }
+                    }
+                    match mono_row(prog, bound, trow, &mut pool, &mut local, &mut scratch) {
+                        Ok(Some(out)) => match prog.pred_slot {
+                            // Recognition requires UNION ALL, so a freshly
+                            // written false `call?` flag retires the output
+                            // row now.
+                            Some(i) if !matches!(out[i], TCell::Bool(true)) => {
+                                iter_retired.push(row_of(&out));
+                                pool.push(out);
+                            }
+                            _ => tnext.push(out),
+                        },
+                        Ok(None) => iter_retired.push(row_of(trow)),
+                        Err(Demote) => {
+                            demoted = true;
+                            break;
+                        }
+                    }
                 }
             }
-            match mono_row(prog, bound, trow, &mut pool, &mut local, &mut scratch) {
-                Ok(Some(out)) => match prog.pred_slot {
-                    // Recognition requires UNION ALL, so a freshly written
-                    // false `call?` flag retires the output row now.
-                    Some(i) if !matches!(out[i], TCell::Bool(true)) => {
-                        iter_retired.push(row_of(&out));
-                        pool.push(out);
+            _ => {
+                for trow in &tcur {
+                    match mono_row(prog, bound, trow, &mut pool, &mut local, &mut scratch) {
+                        Ok(Some(out)) => tnext.push(out),
+                        Ok(None) => {}
+                        Err(Demote) => {
+                            demoted = true;
+                            break;
+                        }
                     }
-                    _ => tnext.push(out),
-                },
-                Ok(None) => iter_retired.push(row_of(trow)),
-                Err(Demote) => {
-                    demoted = true;
-                    break;
                 }
             }
         }
         if demoted {
-            // Roll back the whole iteration, including its retirements.
+            // Roll back the uncommitted iteration, retirements included: the
+            // VM re-runs it and counts it itself.
             *cx.iters -= 1;
             *working = tcur.iter().map(|r| row_of(r)).collect();
             return Ok(MonoOutcome::Demoted);
         }
         cx.commit(&local);
-        retired.append(&mut iter_retired);
+        match keep {
+            Keep::Trace(store) => store.extend(tnext.iter().map(|r| row_of(r))),
+            Keep::Last(_) => {
+                pool.append(&mut tprev);
+                std::mem::swap(&mut tprev, &mut tcur);
+            }
+            Keep::Retired(retired) => retired.append(&mut iter_retired),
+        }
+        // Recycle the consumed input's rows into the pool; the emptied vec
+        // is next iteration's output buffer.
         pool.append(&mut tcur);
         std::mem::swap(&mut tcur, &mut tnext);
     }
@@ -1810,16 +1730,19 @@ mod tests {
         let prog = recognized();
         let bound = empty_bound();
         let mut working: Vec<Row> = vec![vec![Value::Int(0), Value::Bool(true)]];
-        let mut prev: Vec<Row> = Vec::new();
+        let mut keep = Keep::Last(Vec::new());
         let (mut iters, mut peak, mut stats) = (0u64, 1usize, RuntimeStats::default());
-        let outcome = run_mono_iterate(
+        let outcome = run_mono(
             &prog,
             &bound,
             &mut cx(&mut iters, &mut peak, &mut stats),
             &mut working,
-            &mut prev,
+            &mut keep,
         )
         .unwrap();
+        let Keep::Last(prev) = keep else {
+            unreachable!("run_mono keeps the mode it is given")
+        };
         assert!(matches!(outcome, MonoOutcome::Finished));
         // 0→1→…→10 keeps the flag true; row [11, false] fails the filter
         // next pass, so the last surviving iteration holds it.
@@ -1835,14 +1758,14 @@ mod tests {
         let bound = empty_bound();
         let mut working: Vec<Row> = vec![vec![Value::Float(0.5), Value::Bool(true)]];
         let snapshot = working.clone();
-        let mut prev: Vec<Row> = Vec::new();
+        let mut keep = Keep::Last(Vec::new());
         let (mut iters, mut peak, mut stats) = (0u64, 1usize, RuntimeStats::default());
-        let outcome = run_mono_iterate(
+        let outcome = run_mono(
             &prog,
             &bound,
             &mut cx(&mut iters, &mut peak, &mut stats),
             &mut working,
-            &mut prev,
+            &mut keep,
         )
         .unwrap();
         assert!(matches!(outcome, MonoOutcome::Demoted));
@@ -1865,14 +1788,14 @@ mod tests {
         let prog = recognize(0, &transition_plan(body, ExprIr::slot(1)), true).unwrap();
         let bound = empty_bound();
         let mut working: Vec<Row> = vec![vec![Value::Int(1), Value::Bool(true)]];
-        let mut prev: Vec<Row> = Vec::new();
+        let mut keep = Keep::Last(Vec::new());
         let (mut iters, mut peak, mut stats) = (0u64, 1usize, RuntimeStats::default());
-        let outcome = run_mono_iterate(
+        let outcome = run_mono(
             &prog,
             &bound,
             &mut cx(&mut iters, &mut peak, &mut stats),
             &mut working,
-            &mut prev,
+            &mut keep,
         )
         .unwrap();
         assert!(matches!(outcome, MonoOutcome::Demoted));
@@ -1898,16 +1821,19 @@ mod tests {
         let prog = recognize(0, &transition_plan(counter_body(), pred), true).unwrap();
         let bound = empty_bound();
         let mut working: Vec<Row> = vec![vec![Value::Int(0), Value::Null]];
-        let mut prev: Vec<Row> = Vec::new();
+        let mut keep = Keep::Last(Vec::new());
         let (mut iters, mut peak, mut stats) = (0u64, 1usize, RuntimeStats::default());
-        let outcome = run_mono_iterate(
+        let outcome = run_mono(
             &prog,
             &bound,
             &mut cx(&mut iters, &mut peak, &mut stats),
             &mut working,
-            &mut prev,
+            &mut keep,
         )
         .unwrap();
+        let Keep::Last(prev) = keep else {
+            unreachable!("run_mono keeps the mode it is given")
+        };
         assert!(matches!(outcome, MonoOutcome::Finished));
         // The single row is dropped by the NULL predicate on iteration 1
         // (AND with NULL is NULL, not an error), so the last *consumed*

@@ -8,7 +8,9 @@
 use std::sync::Arc;
 
 use plaway_common::Value;
-use plaway_engine::{Database, EngineConfig, ParamScope, PlanLookup, QueryResult, Session};
+use plaway_engine::{
+    Database, EngineConfig, ParamScope, PlanLookup, QueryResult, Session, TierMode,
+};
 
 fn seeded_session() -> Session {
     let mut s = Session::default();
@@ -404,7 +406,12 @@ fn redefined_or_dropped_function_replans() {
 
 #[test]
 fn an_older_snapshot_never_gets_a_newer_plan() {
-    let db = Database::new(EngineConfig::raw());
+    // The lookups below use the statement text as the cache key, which it
+    // is only under `TierMode::Auto`; pin it so `PLAWAY_TIER_MODE` cannot
+    // tag the key.
+    let mut config = EngineConfig::raw();
+    config.tier_mode = TierMode::Auto;
+    let db = Database::new(config);
     let mut writer = db.session();
     writer.run("CREATE TABLE t (k int)").unwrap();
     writer.run("INSERT INTO t VALUES (1)").unwrap();

@@ -356,18 +356,105 @@ fn repeated_aggregates_plan_once() {
     assert_eq!(got, vec![(1, 30, 32), (2, 5, 6)]);
 }
 
+/// The fixpoint's row paths agree: a pipeline-shaped recursive arm and the
+/// same arm forced onto the whole-iteration path by a cross join with a
+/// one-row derived table give the same rows after the same iterations.
+/// The seeds collide under `x / 2`, so UNION has duplicates to drop.
+#[test]
+fn fixpoint_row_paths_agree() {
+    let mut s = Session::new(EngineConfig::raw());
+    s.run("CREATE TABLE seeds (x int)").unwrap();
+    s.run("INSERT INTO seeds VALUES (8), (9), (12), (13), (13)")
+        .unwrap();
+    for with in ["WITH RECURSIVE", "WITH ITERATE"] {
+        for union in ["UNION", "UNION ALL"] {
+            let mut runs = Vec::new();
+            for from in ["c", "c, (SELECT 1) AS one(o)"] {
+                let sql = format!(
+                    "{with} c(x, n) AS (SELECT x, 0 FROM seeds \
+                     {union} SELECT x / 2, n + 1 FROM {from} WHERE n < 4) \
+                     SELECT x, n FROM c"
+                );
+                s.reset_instrumentation();
+                let rows = s.run(&sql).unwrap().rows;
+                runs.push((rows, s.stats.recursive_iterations));
+            }
+            assert_eq!(runs[0], runs[1], "{with} {union}");
+            assert!(runs[0].1 > 0, "{with} {union}");
+        }
+    }
+}
+
 /// Failure injection: recursion guards, plan invalidation, work_mem edges.
 mod failure_injection {
     use super::*;
 
+    /// The iteration limit fires the same way on every fixpoint path, and
+    /// the failed fixpoint still accounts for the iterations it ran.
     #[test]
     fn runaway_recursive_cte_is_stopped() {
+        const LIMIT: u64 = 1_000;
+        let runaways = [
+            "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) SELECT count(*) FROM c",
+            "WITH ITERATE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) SELECT count(*) FROM c",
+            "WITH RETIRE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c WHERE x > 0) \
+             SELECT count(*) FROM c",
+            // Join arms: the whole arm runs once per iteration.
+            "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + o FROM c, (SELECT 1) AS one(o)) \
+             SELECT count(*) FROM c",
+            "WITH ITERATE c(x) AS (SELECT 1 UNION ALL SELECT x + o FROM c, (SELECT 1) AS one(o)) \
+             SELECT count(*) FROM c",
+        ];
+        for sql in runaways {
+            let mut s = Session::new(EngineConfig::raw());
+            s.config.max_recursive_iterations = LIMIT;
+            let err = s.run(sql).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("exceeded {LIMIT} iterations")),
+                "{sql}: {err}"
+            );
+            assert_eq!(s.stats.recursive_iterations, LIMIT, "{sql}");
+        }
+
+        // Compiled fibonacci: the fused transition (ForceOff) and the mono
+        // tier (ForceOn), under both CTE modes.
+        const FIB_LIMIT: u64 = 50;
+        for tier_mode in [TierMode::ForceOff, TierMode::ForceOn] {
+            for options in [CompileOptions::default(), CompileOptions::iterate()] {
+                let mut config = EngineConfig::raw();
+                config.tier_mode = tier_mode;
+                config.max_recursive_iterations = FIB_LIMIT;
+                let mut b = plaway_bench::setup_fib(config);
+                let compiled = b.compile(options).unwrap();
+                let err = compiled
+                    .run(&mut b.session, &plaway_bench::fib_args(90))
+                    .unwrap_err();
+                let case = format!("fibonacci {tier_mode:?} {options:?}");
+                assert!(
+                    err.to_string()
+                        .contains(&format!("exceeded {FIB_LIMIT} iterations")),
+                    "{case}: {err}"
+                );
+                assert_eq!(b.session.stats.recursive_iterations, FIB_LIMIT, "{case}");
+                assert_eq!(
+                    b.session.metrics.tier_promotions > 0,
+                    tier_mode == TierMode::ForceOn,
+                    "{case}"
+                );
+            }
+        }
+
+        // A spilling trace that fails still charges the pages it wrote.
         let mut s = Session::new(EngineConfig::raw());
-        s.config.max_recursive_iterations = 1_000;
-        let err = s
-            .run("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) SELECT count(*) FROM c")
-            .unwrap_err();
-        assert!(err.to_string().contains("iterations"), "{err}");
+        s.config.work_mem_bytes = 1024;
+        s.config.max_recursive_iterations = 500;
+        s.run(
+            "WITH RECURSIVE c(x, pad) AS (SELECT 1, repeat('x', 100) \
+             UNION ALL SELECT x + 1, pad FROM c) SELECT count(*) FROM c",
+        )
+        .unwrap_err();
+        assert!(s.buffers.page_writes > 0, "failed spill wrote no pages");
     }
 
     #[test]
