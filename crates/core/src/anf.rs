@@ -17,6 +17,7 @@ use plaway_sql::ast::Expr;
 
 use crate::cfg::{BlockId, Term};
 use crate::ssa::SsaProgram;
+use crate::subst::{subst_expr, Subst};
 
 /// Tail position of an ANF body: nested conditionals bottoming out in tail
 /// calls or returns.
@@ -64,6 +65,16 @@ impl AnfTail {
             AnfTail::LetChain { body, .. } => body.calls(),
             AnfTail::Call { target, args } => vec![(*target, args.as_slice())],
             AnfTail::Ret(_) => vec![],
+        }
+    }
+
+    /// How many calls to `target` this tail makes.
+    fn calls_to(&self, target: usize) -> usize {
+        match self {
+            AnfTail::If { then_, else_, .. } => then_.calls_to(target) + else_.calls_to(target),
+            AnfTail::LetChain { body, .. } => body.calls_to(target),
+            AnfTail::Call { target: t, .. } => usize::from(*t == target),
+            AnfTail::Ret(_) => 0,
         }
     }
 
@@ -177,7 +188,7 @@ pub fn from_ssa(prog: &SsaProgram) -> Result<AnfProgram> {
                     }
                 }
                 // The callee's lifted parameters are passed by name.
-                for l in &lifted[s].clone() {
+                for l in &lifted[s] {
                     if is_var(l)
                         && !fn_param_names.contains(l)
                         && !defined.contains(l.as_str())
@@ -282,42 +293,26 @@ pub fn from_ssa(prog: &SsaProgram) -> Result<AnfProgram> {
     Ok(anf)
 }
 
-/// Substitute expressions for parameter names inside a tail.
-fn subst_tail(
-    tail: &AnfTail,
-    map: &crate::subst::Subst,
-    catalog: &plaway_engine::Catalog,
-) -> AnfTail {
+/// Substitute expressions for parameter names inside a tail, in place.
+fn subst_tail(tail: &mut AnfTail, map: &Subst, catalog: &plaway_engine::Catalog) {
+    let subst =
+        |e: &mut Expr| *e = subst_expr(std::mem::replace(e, Expr::null()), map, catalog, &[]);
     match tail {
-        AnfTail::If { cond, then_, else_ } => AnfTail::If {
-            cond: crate::subst::subst_expr(cond.clone(), map, catalog, &[]),
-            then_: Box::new(subst_tail(then_, map, catalog)),
-            else_: Box::new(subst_tail(else_, map, catalog)),
-        },
+        AnfTail::If { cond, then_, else_ } => {
+            subst(cond);
+            subst_tail(then_, map, catalog);
+            subst_tail(else_, map, catalog);
+        }
         AnfTail::LetChain { lets, body } => {
             // Let-bound names are globally unique SSA names: the map's keys
             // (callee parameters) can never collide with them.
-            AnfTail::LetChain {
-                lets: lets
-                    .iter()
-                    .map(|(v, e)| {
-                        (
-                            v.clone(),
-                            crate::subst::subst_expr(e.clone(), map, catalog, &[]),
-                        )
-                    })
-                    .collect(),
-                body: Box::new(subst_tail(body, map, catalog)),
+            for (_, e) in lets {
+                subst(e);
             }
+            subst_tail(body, map, catalog);
         }
-        AnfTail::Call { target, args } => AnfTail::Call {
-            target: *target,
-            args: args
-                .iter()
-                .map(|a| crate::subst::subst_expr(a.clone(), map, catalog, &[]))
-                .collect(),
-        },
-        AnfTail::Ret(e) => AnfTail::Ret(crate::subst::subst_expr(e.clone(), map, catalog, &[])),
+        AnfTail::Call { args, .. } => args.iter_mut().for_each(subst),
+        AnfTail::Ret(e) => subst(e),
     }
 }
 
@@ -329,49 +324,44 @@ fn tail_size(tail: &AnfTail) -> usize {
     }
 }
 
+/// Replace every call to `target` in `tail` by `callee`'s body, its
+/// parameters bound to the call's arguments. Returns whether there was one.
 fn replace_calls(
-    tail: &AnfTail,
+    tail: &mut AnfTail,
     target: usize,
     callee: &AnfFunction,
     catalog: &plaway_engine::Catalog,
-) -> AnfTail {
+) -> bool {
     match tail {
-        AnfTail::If { cond, then_, else_ } => AnfTail::If {
-            cond: cond.clone(),
-            then_: Box::new(replace_calls(then_, target, callee, catalog)),
-            else_: Box::new(replace_calls(else_, target, callee, catalog)),
-        },
-        AnfTail::LetChain { lets, body } => AnfTail::LetChain {
-            lets: lets.clone(),
-            body: Box::new(replace_calls(body, target, callee, catalog)),
-        },
+        AnfTail::If { then_, else_, .. } => {
+            let in_then = replace_calls(then_, target, callee, catalog);
+            replace_calls(else_, target, callee, catalog) || in_then
+        }
+        AnfTail::LetChain { body, .. } => replace_calls(body, target, callee, catalog),
         AnfTail::Call { target: t, args } if *t == target => {
-            let map: crate::subst::Subst = callee
+            let map: Subst = callee
                 .params
                 .iter()
                 .cloned()
-                .zip(args.iter().cloned())
+                .zip(std::mem::take(args))
                 .collect();
-            let inlined = subst_tail(&callee.tail, &map, catalog);
-            if callee.lets.is_empty() {
+            let mut inlined = callee.tail.clone();
+            subst_tail(&mut inlined, &map, catalog);
+            *tail = if callee.lets.is_empty() {
                 inlined
             } else {
                 AnfTail::LetChain {
                     lets: callee
                         .lets
                         .iter()
-                        .map(|(v, e)| {
-                            (
-                                v.clone(),
-                                crate::subst::subst_expr(e.clone(), &map, catalog, &[]),
-                            )
-                        })
+                        .map(|(v, e)| (v.clone(), subst_expr(e.clone(), &map, catalog, &[])))
                         .collect(),
                     body: Box::new(inlined),
                 }
-            }
+            };
+            true
         }
-        other => other.clone(),
+        AnfTail::Call { .. } | AnfTail::Ret(_) => false,
     }
 }
 
@@ -455,10 +445,12 @@ pub fn inline_trivial(prog: &mut AnfProgram, catalog: &plaway_engine::Catalog) {
             any |= fold_constant_tails(&mut f.tail);
         }
         any |= fold_constant_tails(&mut prog.entry);
+        // Recomputed after every inlining: a function whose call sites were
+        // all inlined away is unreachable, and no longer counts as a caller.
+        let mut reachable = prog.reachable();
         for idx in 0..prog.funcs.len() {
-            let reachable = prog.reachable();
             let f = &prog.funcs[idx];
-            if !reachable[idx] || f.tail.calls().iter().any(|(t, _)| *t == idx) {
+            if !reachable[idx] || f.tail.calls_to(idx) > 0 {
                 continue;
             }
             // Three inlining shapes:
@@ -470,23 +462,22 @@ pub fn inline_trivial(prog: &mut AnfProgram, catalog: &plaway_engine::Catalog) {
             //      (column/literal) arguments at every call site — the
             //      handled-block join/increment shape. Duplicating pure
             //      lets is safe and buys one CTE iteration per loop pass.
+            let entry_calls = prog.entry.calls_to(idx);
             let call_sites: usize = prog
                 .funcs
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| reachable[*j] && *j != idx)
-                .map(|(_, g)| g.tail.calls().iter().filter(|(t, _)| *t == idx).count())
+                .map(|(_, g)| g.tail.calls_to(idx))
                 .sum::<usize>()
-                + prog.entry.calls().iter().filter(|(t, _)| *t == idx).count();
+                + entry_calls;
             let trivial = f.lets.is_empty() && tail_size(&f.tail) <= 8;
-            let single_use = call_sites == 1
-                && tail_size(&f.tail) <= 16
-                && !prog.entry.calls().iter().any(|(t, _)| *t == idx);
+            let single_use = call_sites == 1 && tail_size(&f.tail) <= 16 && entry_calls == 0;
             let small_pure = (2..=4).contains(&call_sites)
                 && f.lets.len() <= 2
                 && tail_size(&f.tail) <= 8
                 && f.lets.iter().all(|(_, e)| crate::opt::is_pure_expr(e))
-                && !prog.entry.calls().iter().any(|(t, _)| *t == idx)
+                && entry_calls == 0
                 && all_call_args_simple(prog, idx, &reachable);
             // (d) the row-loop exit-block shape: only `snapshot_release`
             //     lets and a small tail. Inlining it at every exit edge
@@ -497,28 +488,27 @@ pub fn inline_trivial(prog: &mut AnfProgram, catalog: &plaway_engine::Catalog) {
                 && !f.lets.is_empty()
                 && f.lets.iter().all(|(_, e)| is_release_call(e))
                 && tail_size(&f.tail) <= 8
-                && !prog.entry.calls().iter().any(|(t, _)| *t == idx)
+                && entry_calls == 0
                 && all_call_args_simple(prog, idx, &reachable);
             if !(trivial || single_use || small_pure || release_block) {
                 continue;
             }
-            let callee = prog.funcs[idx].clone();
-            for j in 0..prog.funcs.len() {
-                if j == idx {
-                    continue;
-                }
-                if prog.funcs[j].tail.calls().iter().any(|(t, _)| *t == idx) {
-                    prog.funcs[j].tail = replace_calls(&prog.funcs[j].tail, idx, &callee, catalog);
-                    any = true;
-                }
+            // Every other function may call the callee (it never calls
+            // itself), so it is borrowed apart from them, not copied.
+            let (before, rest) = prog.funcs.split_at_mut(idx);
+            let (callee, after) = rest.split_first_mut().expect("idx < funcs.len()");
+            let mut inlined = false;
+            for g in before.iter_mut().chain(after) {
+                inlined |= replace_calls(&mut g.tail, idx, callee, catalog);
             }
             // The program entry must remain a bare call (the original
             // invocation); only forwarders may be inlined there.
-            if matches!(callee.tail, AnfTail::Call { .. })
-                && prog.entry.calls().iter().any(|(t, _)| *t == idx)
-            {
-                prog.entry = replace_calls(&prog.entry, idx, &callee, catalog);
+            if matches!(callee.tail, AnfTail::Call { .. }) {
+                inlined |= replace_calls(&mut prog.entry, idx, callee, catalog);
+            }
+            if inlined {
                 any = true;
+                reachable = prog.reachable();
             }
         }
         if !any {
@@ -773,6 +763,147 @@ mod tests {
                 .any(|(f, r)| r && f.params.iter().any(|p| p.starts_with('a'))),
             "{text}"
         );
+    }
+
+    /// Every function, reachable or not, with its lets and tail.
+    fn dump(prog: &AnfProgram) -> String {
+        let mut out = String::new();
+        for f in &prog.funcs {
+            out.push_str(&format!("{}({}):\n", f.name, f.params.join(", ")));
+            for (v, e) in &f.lets {
+                out.push_str(&format!("  let {v} = {e} in\n"));
+            }
+            write_tail(&mut out, &f.tail, &prog.funcs, 2);
+        }
+        out
+    }
+
+    #[test]
+    fn inlining_ignores_callers_an_earlier_inlining_made_unreachable() {
+        use plaway_sql::ast::BinOp;
+        let func = |name: &str, params: &[&str], lets: Vec<(String, Expr)>, tail| AnfFunction {
+            name: name.into(),
+            params: params.iter().map(|p| p.to_string()).collect(),
+            phi_params: params.len(),
+            lets,
+            tail,
+        };
+        let call = |target, args| AnfTail::Call { target, args };
+        let random = || Expr::func("random", Vec::new());
+        // L0 calls L1 (a trivial test on its argument) or L3. L1 reaches the
+        // self-recursive loop L2, which also calls L3. L3 has an impure
+        // let, so it is inlined only where it has a single call site.
+        let l0 = func(
+            "L0",
+            &[],
+            vec![("a".into(), random())],
+            AnfTail::If {
+                cond: Expr::col("a"),
+                then_: Box::new(call(1, vec![Expr::str("x")])),
+                else_: Box::new(call(3, vec![Expr::int(3)])),
+            },
+        );
+        let l1 = func(
+            "L1",
+            &["k"],
+            Vec::new(),
+            AnfTail::If {
+                cond: Expr::binary(BinOp::Eq, Expr::col("k"), Expr::str("y")),
+                then_: Box::new(call(2, Vec::new())),
+                else_: Box::new(AnfTail::Ret(Expr::int(0))),
+            },
+        );
+        let l2 = func(
+            "L2",
+            &[],
+            vec![("z".into(), random())],
+            AnfTail::If {
+                cond: Expr::col("z"),
+                then_: Box::new(call(2, Vec::new())),
+                else_: Box::new(call(3, vec![Expr::int(4)])),
+            },
+        );
+        let l3 = func(
+            "L3",
+            &["v"],
+            vec![(
+                "r".into(),
+                Expr::func("greatest", vec![Expr::col("v"), random()]),
+            )],
+            AnfTail::Ret(Expr::col("r")),
+        );
+        let mut prog = AnfProgram {
+            fn_name: "f".into(),
+            fn_params: Vec::new(),
+            returns: Type::Int,
+            funcs: vec![l0, l1, l2, l3],
+            entry: call(0, Vec::new()),
+            var_types: HashMap::new(),
+        };
+        inline_trivial(&mut prog, &Catalog::new());
+        prog.validate().unwrap();
+        // Round 1 inlines L1 into L0, so L3 has two call sites (L0, L2).
+        // Round 2 folds the constant `'x' = 'y'` away, which leaves L2
+        // unreachable: L3's one remaining call site is L0's, and L3 is
+        // inlined (into L2's dead body as well).
+        assert_eq!(prog.reachable(), vec![true, false, false, false]);
+        assert_eq!(
+            dump(&prog),
+            "L0():\n  let a = random() in\n  if a then\n    0\n  else\n    \
+             let r = greatest(3, random()) in\n    r\n\
+             L1(k):\n  if k = 'y' then\n    L2()\n  else\n    0\n\
+             L2():\n  let z = random() in\n  if z then\n    L2()\n  else\n    \
+             let r = greatest(4, random()) in\n    r\n\
+             L3(v):\n  let r = greatest(v, random()) in\n  r\n"
+        );
+    }
+
+    #[test]
+    fn inlining_counts_call_sites_after_each_inlining() {
+        // A generated program (genprog seed 5) whose nested loops give
+        // several inlining candidates in one round. Counting call sites
+        // against a reachability set from before an earlier inlining in
+        // the same round picks a different set of functions to keep.
+        let mut session = plaway_engine::Session::default();
+        session.run("CREATE TABLE kv (k int, v int)").unwrap();
+        let src = "CREATE FUNCTION gen5(p0 int, p1 int) RETURNS int AS $$ \
+            DECLARE v0 int := 5; v1 int := -2; v2 int := 7; v3 int := 6; \
+            BEGIN \
+              v3 := (((CASE WHEN p0 > 7 THEN -8 ELSE 2 END) \
+                * COALESCE((SELECT kv.v FROM kv WHERE kv.k = ((v2 % 13)) % 12), -1)) % 97); \
+              <<lbl2>> FOR i1 IN REVERSE 5..2 LOOP \
+                v3 := ((abs((v3 % 13) % 23) * ((p0 * (v1 % 13)) % 97)) % 97); \
+              END LOOP; \
+              <<lbl4>> FOR i3 IN REVERSE 7..2 LOOP \
+                <<lbl6>> FOR i5 IN REVERSE 4..3 LOOP \
+                  v0 := ((v0 / 2) / 7); \
+                  v2 := 0; \
+                  WHILE v2 < 3 AND (i3 < -7 OR true) LOOP \
+                    v2 := v2 + 1; \
+                    v3 := COALESCE((SELECT kv.v FROM kv WHERE kv.k = (p0) % 12), -1); \
+                  END LOOP; \
+                  EXIT WHEN p0 > 4; \
+                END LOOP; \
+                v3 := (CASE WHEN (NOT p0 > 1) THEN (CASE WHEN i3 <= 8 THEN (v1 % 13) \
+                  ELSE (i3 % 13) END) ELSE (-6 + 5) END); \
+              END LOOP; \
+              RETURN (p0 * 1 + p1 * 3 + v0 * 5 + v1 * 7 + v2 * 9 + v3 * 11) % 10007; \
+            END $$ LANGUAGE plpgsql";
+        let f = parse_create_function(src).unwrap();
+        let cat = &session.catalog;
+        let cfg = crate::cfg::lower(&f, cat).unwrap();
+        let mut ssa = crate::ssa::build(&cfg, cat).unwrap();
+        crate::opt::optimize(&mut ssa, cat);
+        let mut anf = from_ssa(&ssa).unwrap();
+        inline_trivial(&mut anf, cat);
+        anf.validate().unwrap();
+        let kept: Vec<&str> = anf
+            .funcs
+            .iter()
+            .zip(anf.reachable())
+            .filter_map(|(f, r)| r.then_some(f.name.as_str()))
+            .collect();
+        assert_eq!(kept, ["L0", "L2", "L7", "L9", "L11"], "{}", anf.to_text());
     }
 
     #[test]

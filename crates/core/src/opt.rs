@@ -355,25 +355,26 @@ fn propagate_defs(prog: &mut SsaProgram, catalog: &Catalog, stats: &mut OptStats
 
 /// Resolve substitution chains (`v -> w`, `w -> 3`  =>  `v -> 3`), bounded.
 /// Both propagation and trivial-φ removal substitute in a single pass, so a
-/// map with internal references would otherwise leave dangling names.
+/// map with internal references would otherwise leave dangling names. Each
+/// round follows one step from the previous round's map (all targets move
+/// at once), so a cycle such as `a -> b`, `b -> a` ends after the bound.
 fn resolve_chains(map: &mut Subst) {
     for _ in 0..map.len() {
-        let snapshot = map.clone();
-        let mut changed = false;
-        for (_, target) in map.iter_mut() {
-            if let Expr::Column {
-                qualifier: None,
-                name,
-            } = target.clone()
-            {
-                if let Some(next) = snapshot.get(&name) {
-                    *target = next.clone();
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
+        let steps: Vec<(String, Expr)> = map
+            .iter()
+            .filter_map(|(v, target)| match target {
+                Expr::Column {
+                    qualifier: None,
+                    name,
+                } => map.get(name).map(|next| (v.clone(), next.clone())),
+                _ => None,
+            })
+            .collect();
+        if steps.is_empty() {
             break;
+        }
+        for (v, next) in steps {
+            map.insert(v, next);
         }
     }
 }
@@ -544,11 +545,11 @@ fn remove_unreachable(prog: &mut SsaProgram, stats: &mut OptStats) -> bool {
         return false;
     }
     let mut remap = vec![usize::MAX; n];
-    let mut blocks = Vec::new();
-    for i in 0..n {
+    let mut blocks = Vec::with_capacity(n);
+    for (i, block) in std::mem::take(&mut prog.blocks).into_iter().enumerate() {
         if reachable[i] {
             remap[i] = blocks.len();
-            blocks.push(prog.blocks[i].clone());
+            blocks.push(block);
         } else {
             stats.blocks_removed += 1;
         }
@@ -569,22 +570,26 @@ fn remove_unreachable(prog: &mut SsaProgram, stats: &mut OptStats) -> bool {
 
 /// Merge `b -> s` when `b` jumps to `s`, `s` has exactly one predecessor and
 /// no φs.
+///
+/// One sweep in block order finds the same merges as rescanning from the
+/// first block after each one: a merge only hands `s`'s terminator to `b`
+/// and relabels `s` to `b` in predecessor lists, so no block before `b`
+/// becomes mergeable and every other predecessor count stays the same. The
+/// emptied husks are dropped together at the end.
 fn merge_straightline(prog: &mut SsaProgram, stats: &mut OptStats) -> bool {
+    let n_preds: Vec<usize> = prog.predecessors().iter().map(Vec::len).collect();
     let mut changed = false;
-    loop {
-        let preds = prog.predecessors();
-        let mut merged = false;
-        for b in 0..prog.blocks.len() {
-            let Term::Jump(s) = prog.blocks[b].term else {
-                continue;
-            };
-            if s == b || preds[s].len() != 1 || !prog.blocks[s].phis.is_empty() {
-                continue;
+    for b in 0..prog.blocks.len() {
+        while let Term::Jump(s) = prog.blocks[b].term {
+            if s == b || n_preds[s] != 1 || !prog.blocks[s].phis.is_empty() {
+                break;
             }
-            // Move s's statements into b; adopt s's terminator.
-            let s_block = prog.blocks[s].clone();
-            prog.blocks[b].stmts.extend(s_block.stmts);
-            prog.blocks[b].term = s_block.term;
+            // Move s's statements into b; adopt s's terminator. s becomes
+            // an unreachable husk (no statements, no successors).
+            let s_stmts = std::mem::take(&mut prog.blocks[s].stmts);
+            let s_term = std::mem::replace(&mut prog.blocks[s].term, Term::Return(Expr::null()));
+            prog.blocks[b].stmts.extend(s_stmts);
+            prog.blocks[b].term = s_term;
             // φ args in s's successors refer to s: relabel to b.
             for t in prog.blocks[b].term.successors() {
                 for phi in &mut prog.blocks[t].phis {
@@ -595,20 +600,11 @@ fn merge_straightline(prog: &mut SsaProgram, stats: &mut OptStats) -> bool {
                     }
                 }
             }
-            // s is now unreachable; clear it so nothing stale survives.
-            prog.blocks[s].stmts.clear();
-            prog.blocks[s].phis.clear();
-            prog.blocks[s].term = Term::Return(Expr::null());
-            // Disconnect: nothing points at s anymore.
             stats.blocks_merged += 1;
-            merged = true;
             changed = true;
-            break; // predecessor sets changed; recompute
         }
-        if !merged {
-            break;
-        }
-        // Clean up the disconnected husk.
+    }
+    if changed {
         remove_unreachable(prog, stats);
     }
     changed
@@ -815,6 +811,151 @@ mod tests {
             text.matches("SELECT max(v)").count() == 1,
             "query must survive exactly once: {text}"
         );
+    }
+
+    /// `random()` keeps a statement alive through DCE and propagation.
+    fn impure() -> Expr {
+        Expr::func("random", Vec::new())
+    }
+
+    fn program(blocks: Vec<crate::ssa::SsaBlock>) -> SsaProgram {
+        SsaProgram {
+            name: "f".into(),
+            params: vec![("n".into(), plaway_common::Type::Int)],
+            returns: plaway_common::Type::Float,
+            var_types: Default::default(),
+            blocks,
+            entry: 0,
+        }
+    }
+
+    #[test]
+    fn jump_chain_merges_completely_in_one_call() {
+        // L0 -> L3 -> L1 -> L4 -> L2 -> L5: a chain laid out out of order,
+        // so every merge leaves a husk at a different index.
+        let next = [3, 4, 5, 1, 2];
+        let mut blocks: Vec<crate::ssa::SsaBlock> = (0..6)
+            .map(|i| crate::ssa::SsaBlock {
+                phis: Vec::new(),
+                stmts: vec![(format!("x{i}"), impure())],
+                term: next
+                    .get(i)
+                    .map_or(Term::Return(Expr::col("x5")), |&s| Term::Jump(s)),
+            })
+            .collect();
+        blocks[5].stmts.push(("y".into(), impure()));
+        let mut prog = program(blocks);
+        // One pass merges the whole chain, so `optimize` does no more.
+        let mut one_pass = prog.clone();
+        let mut pass_stats = OptStats::default();
+        assert!(merge_straightline(&mut one_pass, &mut pass_stats));
+        let stats = optimize(&mut prog, &Catalog::new());
+        assert_eq!(
+            stats,
+            OptStats {
+                blocks_removed: 5,
+                blocks_merged: 5,
+                ..OptStats::default()
+            }
+        );
+        assert_eq!(pass_stats, stats);
+        assert_eq!(one_pass.to_text(), prog.to_text());
+        assert_eq!(prog.blocks.len(), 1);
+        let order: Vec<&str> = prog.blocks[0]
+            .stmts
+            .iter()
+            .map(|(v, _)| v.as_str())
+            .collect();
+        assert_eq!(order, ["x0", "x3", "x1", "x4", "x2", "x5", "y"]);
+        assert_eq!(prog.blocks[0].term, Term::Return(Expr::col("x5")));
+    }
+
+    #[test]
+    fn resolve_chains_follows_chains_and_stops_on_cycles() {
+        let subst = |pairs: &[(&str, Expr)]| -> Subst {
+            pairs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect()
+        };
+        let mut chain = subst(&[
+            ("v", Expr::col("w")),
+            ("w", Expr::col("x")),
+            ("x", Expr::int(3)),
+        ]);
+        resolve_chains(&mut chain);
+        assert_eq!(
+            chain,
+            subst(&[
+                ("v", Expr::int(3)),
+                ("w", Expr::int(3)),
+                ("x", Expr::int(3))
+            ])
+        );
+        // Mutually trivial φs map a -> b and b -> a. Every round follows one
+        // step from the previous round's map, for at most as many rounds as
+        // the map has entries: after two rounds each name maps to itself.
+        let mut cycle = subst(&[("a", Expr::col("b")), ("b", Expr::col("a"))]);
+        resolve_chains(&mut cycle);
+        assert_eq!(
+            cycle,
+            subst(&[("a", Expr::col("a")), ("b", Expr::col("b"))])
+        );
+        // A three-cycle alternates between two maps; three rounds end on
+        // the two-step one.
+        let mut three = subst(&[
+            ("a", Expr::col("b")),
+            ("b", Expr::col("c")),
+            ("c", Expr::col("a")),
+        ]);
+        resolve_chains(&mut three);
+        assert_eq!(
+            three,
+            subst(&[
+                ("a", Expr::col("c")),
+                ("b", Expr::col("a")),
+                ("c", Expr::col("b"))
+            ])
+        );
+    }
+
+    #[test]
+    fn mutually_trivial_phis_are_removed() {
+        // L1 loops on itself carrying a and b, each φ's only non-self
+        // argument being the other one.
+        let phi = |target: &str, other: &str| crate::ssa::Phi {
+            target: target.into(),
+            args: vec![
+                (0, PhiArg(Expr::col(other))),
+                (1, PhiArg(Expr::col(target))),
+            ],
+        };
+        let mut prog = program(vec![
+            crate::ssa::SsaBlock {
+                phis: Vec::new(),
+                stmts: Vec::new(),
+                term: Term::Jump(1),
+            },
+            crate::ssa::SsaBlock {
+                phis: vec![phi("a", "b"), phi("b", "a")],
+                stmts: vec![("r".into(), impure())],
+                term: Term::Branch {
+                    cond: Expr::col("r"),
+                    then_: 1,
+                    else_: 2,
+                },
+            },
+            crate::ssa::SsaBlock {
+                phis: Vec::new(),
+                stmts: Vec::new(),
+                term: Term::Return(Expr::col("a")),
+            },
+        ]);
+        let mut stats = OptStats::default();
+        assert!(remove_trivial_phis(&mut prog, &Catalog::new(), &mut stats));
+        assert_eq!(stats.phis_removed, 2);
+        assert!(prog.blocks[1].phis.is_empty());
+        assert_eq!(prog.blocks[2].term, Term::Return(Expr::col("a")));
     }
 
     #[test]

@@ -185,10 +185,12 @@ pub fn compile_sql(
 }
 
 impl Compiled {
-    /// Prepare the compiled query in a session (plan once, run many).
+    /// Prepare the compiled query in a session (plan once, run many). The
+    /// plan is cached under [`Compiled::sql`], as if prepared from that
+    /// text, but a cache miss plans [`Compiled::query`] without parsing.
     pub fn prepare(&self, session: &mut Session) -> Result<Arc<PreparedPlan>> {
         let scope = ParamScope::new(self.param_names.clone());
-        session.prepare(&self.sql, &scope)
+        session.prepare_parsed(&self.sql, &self.query, &scope)
     }
 
     /// One-shot execution with the given arguments.
@@ -260,7 +262,11 @@ impl Compiled {
         }
         self.ensure_batch_table(session)?;
         session.replace_rows(&self.batch_table, rows)?;
-        session.prepare(&self.batch_sql, &ParamScope::new(Vec::new()))
+        session.prepare_parsed(
+            &self.batch_sql,
+            &self.batch_query,
+            &ParamScope::new(Vec::new()),
+        )
     }
 
     /// Create [`Compiled::batch_table`] if the database does not have it

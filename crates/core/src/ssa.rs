@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 
 use plaway_common::{Error, Result, Type};
 use plaway_engine::Catalog;
-use plaway_sql::ast::Expr;
+use plaway_sql::ast::{Expr, WindowRef, WindowSpec};
 
 use crate::cfg::{BlockId, Cfg, Term};
 use crate::subst::{subst_expr, Subst};
@@ -239,9 +239,23 @@ pub(crate) fn collect_free_names(e: &Expr, out: &mut Vec<String>) {
         match sub {
             Expr::Subquery(q) | Expr::Exists(q) => collect_names_query(q, out),
             Expr::InSubquery { query, .. } => collect_names_query(query, out),
+            // `walk` skips an inline OVER (...), but substitution enters it.
+            Expr::WindowFunc {
+                window: WindowRef::Inline(spec),
+                ..
+            } => collect_names_window(spec, out),
             _ => {}
         }
     });
+}
+
+fn collect_names_window(spec: &WindowSpec, out: &mut Vec<String>) {
+    for e in &spec.partition_by {
+        collect_free_names(e, out);
+    }
+    for o in &spec.order_by {
+        collect_free_names(&o.expr, out);
+    }
 }
 
 fn collect_names_query(q: &plaway_sql::ast::Query, out: &mut Vec<String>) {
@@ -284,12 +298,7 @@ fn collect_names_query(q: &plaway_sql::ast::Query, out: &mut Vec<String>) {
                     collect_free_names(h, out);
                 }
                 for (_, spec) in &sel.windows {
-                    for e in &spec.partition_by {
-                        collect_free_names(e, out);
-                    }
-                    for o in &spec.order_by {
-                        collect_free_names(&o.expr, out);
-                    }
+                    collect_names_window(spec, out);
                 }
             }
             SetExpr::SetOp { left, right, .. } => {
@@ -474,7 +483,9 @@ impl Dominators {
 
 /// Build SSA form from a CFG.
 pub fn build(cfg: &Cfg, catalog: &Catalog) -> Result<SsaProgram> {
-    let cfg = compact_reachable(cfg);
+    // The one copy of the CFG: renaming moves its statements and
+    // terminators into the SSA blocks.
+    let mut cfg = compact_reachable(cfg);
     let preds = cfg.predecessors();
     let n = cfg.blocks.len();
     let dom = Dominators::compute(n, cfg.entry, &preds);
@@ -510,11 +521,11 @@ pub fn build(cfg: &Cfg, catalog: &Catalog) -> Result<SsaProgram> {
     let mut namer = Namer::new(&cfg);
     let mut blocks: Vec<SsaBlock> = cfg
         .blocks
-        .iter()
+        .iter_mut()
         .map(|b| SsaBlock {
             phis: Vec::new(),
             stmts: Vec::new(),
-            term: b.term.clone(),
+            term: std::mem::take(&mut b.term),
         })
         .collect();
     // Pre-create φ nodes (targets renamed during the walk).
@@ -581,15 +592,14 @@ pub fn build(cfg: &Cfg, catalog: &Catalog) -> Result<SsaProgram> {
                     blocks[b].phis[pi].target = fresh;
                 }
                 // Statements: rewrite RHS with current names, then define.
-                let src_stmts = cfg.blocks[b].stmts.clone();
-                for (base, e) in src_stmts {
+                for (base, e) in std::mem::take(&mut cfg.blocks[b].stmts) {
                     let renamed = rename_expr(e, &stacks, catalog);
                     let fresh =
                         push_def(&base, &mut namer, &mut stacks, &mut saved, &mut var_types);
                     blocks[b].stmts.push((fresh, renamed));
                 }
                 // Terminator expressions.
-                let term = match cfg.blocks[b].term.clone() {
+                let term = match std::mem::take(&mut blocks[b].term) {
                     Term::Branch { cond, then_, else_ } => Term::Branch {
                         cond: rename_expr(cond, &stacks, catalog),
                         then_,
@@ -618,9 +628,9 @@ pub fn build(cfg: &Cfg, catalog: &Catalog) -> Result<SsaProgram> {
     }
 
     let prog = SsaProgram {
-        name: cfg.name.clone(),
-        params: cfg.params.clone(),
-        returns: cfg.returns.clone(),
+        name: cfg.name,
+        params: cfg.params,
+        returns: cfg.returns,
         var_types,
         blocks,
         entry: cfg.entry,
@@ -629,27 +639,35 @@ pub fn build(cfg: &Cfg, catalog: &Catalog) -> Result<SsaProgram> {
     Ok(prog)
 }
 
-/// Apply the current top-of-stack names to an expression.
+/// Apply the current top-of-stack names to an expression. Only the names
+/// the expression mentions enter the substitution.
 fn rename_expr(e: Expr, stacks: &HashMap<String, Vec<Expr>>, catalog: &Catalog) -> Expr {
+    let mut names = Vec::new();
+    collect_free_names(&e, &mut names);
     let mut map = Subst::new();
-    for (base, st) in stacks {
+    for base in names {
+        if map.contains_key(&base) {
+            continue;
+        }
+        // Names never (re)defined anywhere don't appear in `stacks`: they
+        // are genuine columns, left for the planner to resolve.
+        let Some(st) = stacks.get(&base) else {
+            continue;
+        };
         match st.last() {
             Some(top) => {
                 // Identity mappings (param version 0) can be skipped.
-                if !matches!(top, Expr::Column { qualifier: None, name } if name == base) {
-                    map.insert(base.clone(), top.clone());
+                if !matches!(top, Expr::Column { qualifier: None, name } if *name == base) {
+                    map.insert(base, top.clone());
                 }
             }
             None => {
                 // Variable exists but has no definition on this path:
                 // reading it yields NULL (PL/pgSQL initializes to NULL).
-                map.insert(base.clone(), Expr::null());
+                map.insert(base, Expr::null());
             }
         }
     }
-    // Bases never (re)defined anywhere don't appear in `stacks`; they can't
-    // exist because lowering records every variable. Unknown names are left
-    // for the planner to resolve (genuine columns).
     if map.is_empty() {
         e
     } else {
@@ -803,6 +821,28 @@ mod tests {
             text.contains("location2 = p.loc"),
             "embedded query must see the renamed variable:\n{text}"
         );
+    }
+
+    #[test]
+    fn inline_window_variables_are_renamed() {
+        // `walk` skips an inline OVER (...); renaming must still see it.
+        let mut session = plaway_engine::Session::default();
+        session
+            .run("CREATE TABLE policy (loc int, action text)")
+            .unwrap();
+        let sql = "CREATE FUNCTION f(n int) RETURNS int AS $$ \
+                   DECLARE location int := n; r int; \
+                   BEGIN \
+                     location := location + 1; \
+                     r := (SELECT sum(p.loc) OVER (ORDER BY p.loc + location) \
+                           FROM policy AS p LIMIT 1); \
+                     RETURN r; \
+                   END $$ LANGUAGE plpgsql";
+        let f = parse_create_function(sql).unwrap();
+        let cfg = crate::cfg::lower(&f, &session.catalog).unwrap();
+        let p = build(&cfg, &session.catalog).unwrap();
+        let text = p.to_text();
+        assert!(text.contains("p.loc + location2"), "{text}");
     }
 
     #[test]

@@ -300,7 +300,7 @@ impl Session {
         let result = match stmt {
             Stmt::Query(q) => {
                 let key = q.to_string();
-                let prepared = self.prepare_query_text(&key, q, &ParamScope::default())?;
+                let prepared = self.prepare_keyed(&key, Some(q), &ParamScope::default())?;
                 self.execute_prepared(&prepared, Vec::new())
             }
             Stmt::Explain { analyze, stmt } => self.run_explain(*analyze, stmt),
@@ -428,7 +428,7 @@ impl Session {
             }
         };
         let key = q.to_string();
-        let prepared = self.prepare_query_text(&key, q, &ParamScope::default())?;
+        let prepared = self.prepare_keyed(&key, Some(q), &ParamScope::default())?;
         let lines: Vec<String> = if analyze {
             self.explain_analyze_prepared(&prepared, Vec::new())?
                 .render(&prepared.plan)
@@ -688,16 +688,24 @@ impl Session {
         self.prepare_keyed(sql, None, params)
     }
 
-    fn prepare_query_text(
+    /// [`Session::prepare`] for a caller that already holds `text` parsed:
+    /// `query` must be what `parse_query(text)` returns. The plan is cached
+    /// under `text`, so this shares entries with the text path, and a cache
+    /// miss plans `query` without parsing `text` again.
+    pub fn prepare_parsed(
         &mut self,
-        key: &str,
+        text: &str,
         query: &plaway_sql::ast::Query,
         params: &ParamScope,
     ) -> Result<Arc<PreparedPlan>> {
-        self.prepare_keyed(key, Some(query), params)
+        debug_assert!(
+            plaway_sql::parse_query(text).ok().as_ref() == Some(query),
+            "prepare_parsed: the query is not the parse of its text:\n{text}"
+        );
+        self.prepare_keyed(text, Some(query), params)
     }
 
-    /// The shared-cache lookup behind both prepare paths; `query` is the
+    /// The shared-cache lookup behind every prepare path; `query` is the
     /// already-parsed `text`, if the caller has it.
     fn prepare_keyed(
         &mut self,
