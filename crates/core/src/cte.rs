@@ -28,10 +28,11 @@
 use plaway_common::{Error, Result, Type};
 use plaway_engine::Catalog;
 use plaway_sql::ast::{
-    Cte, Expr, Query, Select, SelectItem, SetExpr, SetOp, TableAlias, TableRef, UnOp, With,
+    Cte, Expr, Query, Select, SelectItem, SetExpr, SetOp, TableAlias, TableRef, UnOp, WindowRef,
+    WindowSpec, With,
 };
 
-use crate::anf::AnfProgram;
+use crate::anf::{AnfProgram, AnfTail};
 use crate::subst::{subst_expr, Subst};
 use crate::udf::{build_case, LeafStyle, UdfProgram};
 
@@ -66,7 +67,8 @@ pub fn build_query(
     layout: ArgsLayout,
     mode: CteMode,
 ) -> Result<Query> {
-    build_query_impl(anf, udf, catalog, layout, mode, None)
+    let (kept, body) = build_body(anf, udf, catalog, layout)?;
+    Ok(assemble(udf, catalog, layout, mode, &kept, body, None))
 }
 
 /// Name of the batch row-id column. `#` is not a plain-identifier character,
@@ -93,52 +95,64 @@ pub fn build_batch_query(
     mode: CteMode,
     input_table: &str,
 ) -> Result<Query> {
-    build_query_impl(anf, udf, catalog, layout, mode, Some(input_table))
+    let (kept, mut body) = build_body(anf, udf, catalog, layout)?;
+    prefix_leaf_rows(&mut body)?;
+    Ok(assemble(
+        udf,
+        catalog,
+        layout,
+        mode,
+        &kept,
+        body,
+        Some(input_table),
+    ))
 }
 
-fn build_query_impl(
+/// [`build_query`] and [`build_batch_query`] from one build of the CTE
+/// body: the batch body is a copy of the single one with every leaf record
+/// prefixed by the row id.
+pub fn build_queries(
     anf: &AnfProgram,
     udf: &UdfProgram,
     catalog: &Catalog,
     layout: ArgsLayout,
     mode: CteMode,
-    batch_input: Option<&str>,
-) -> Result<Query> {
+    input_table: &str,
+) -> Result<(Query, Query)> {
+    let (kept, body) = build_body(anf, udf, catalog, layout)?;
+    let mut batch_body = body.clone();
+    prefix_leaf_rows(&mut batch_body)?;
+    let query = assemble(udf, catalog, layout, mode, &kept, body, None);
+    let batch = assemble(
+        udf,
+        catalog,
+        layout,
+        mode,
+        &kept,
+        batch_body,
+        Some(input_table),
+    );
+    Ok((query, batch))
+}
+
+/// `body(f*, r)` of a single activation, and the function parameters the
+/// CTE carries.
+///
+/// Parameter pruning: parameters used only to *initialize* state (e.g.
+/// `parse`'s input string, consumed into `rest` at entry) need not be
+/// carried through the trace — that is precisely what makes Table 2's
+/// WITH RECURSIVE footprint n²/2 instead of 1.5·n².
+fn build_body(
+    anf: &AnfProgram,
+    udf: &UdfProgram,
+    catalog: &Catalog,
+    layout: ArgsLayout,
+) -> Result<(Vec<String>, Expr)> {
     let k = udf.rec_vars.len();
+    let kept = used_params(anf, &udf.fn_params);
 
-    // Parameter pruning: parameters used only to *initialize* state (e.g.
-    // `parse`'s input string, consumed into `rest` at entry) need not be
-    // carried through the trace — that is precisely what makes Table 2's
-    // WITH RECURSIVE footprint n²/2 instead of 1.5·n².
-    let used = used_identifiers(anf);
-    let kept_params: Vec<(String, Type)> = udf
-        .fn_params
-        .iter()
-        .filter(|(p, _)| used.contains(p))
-        .cloned()
-        .collect();
-    let kept_names: Vec<String> = kept_params.iter().map(|(p, _)| p.clone()).collect();
-
-    // Column list of the CTE. Batched trampolines carry the activation's
-    // row id in front of everything else.
-    let mut columns: Vec<String> = Vec::new();
-    if batch_input.is_some() {
-        columns.push(BATCH_RID.into());
-    }
-    columns.push("call?".into());
-    columns.push("fn".into());
-    match layout {
-        ArgsLayout::Flattened => {
-            columns.extend(udf.rec_vars.iter().map(|(v, _)| v.clone()));
-            columns.extend(kept_names.iter().cloned());
-        }
-        ArgsLayout::Packed => columns.push("args".into()),
-    }
-    columns.push("result".into());
-    let width = columns.len();
-
-    // ---- body(f*, r): re-render leaves as row constructions, then redirect
-    // all variable/parameter references to the CTE row `r`.
+    // Re-render leaves as row constructions, then redirect all
+    // variable/parameter references to the CTE row `r`.
     let encoded = build_case(
         anf,
         &udf.rec_vars,
@@ -146,8 +160,7 @@ fn build_query_impl(
         udf.entry_tag,
         &LeafStyle::RowEncode {
             packed: layout == ArgsLayout::Packed,
-            params: kept_names.clone(),
-            rid: batch_input.map(|_| Expr::qcol("r", BATCH_RID)),
+            params: &kept,
         },
     )?;
     let mut map = Subst::new();
@@ -157,7 +170,7 @@ fn build_query_impl(
             for (v, _) in &udf.rec_vars {
                 map.insert(v.clone(), Expr::qcol("r", v.clone()));
             }
-            for p in &kept_names {
+            for p in &kept {
                 map.insert(p.clone(), Expr::qcol("r", p.clone()));
             }
         }
@@ -171,7 +184,7 @@ fn build_query_impl(
                     ),
                 );
             }
-            for (j, p) in kept_names.iter().enumerate() {
+            for (j, p) in kept.iter().enumerate() {
                 map.insert(
                     p.clone(),
                     Expr::func(
@@ -183,6 +196,78 @@ fn build_query_impl(
         }
     }
     let body = subst_expr(encoded, &map, catalog, &[]);
+    Ok((kept, body))
+}
+
+/// Prefix every leaf record of a CTE body with the activation's row id
+/// `r."call#"`. Leaves sit in tail positions only: the results of a CASE
+/// and the single item of a `let` subquery. Prefixing after substitution
+/// equals prefixing before it, because substitution never rewrites a
+/// qualified column.
+fn prefix_leaf_rows(e: &mut Expr) -> Result<()> {
+    match e {
+        Expr::Row(items) => items.insert(0, Expr::qcol("r", BATCH_RID)),
+        Expr::Case {
+            branches, else_, ..
+        } => {
+            for (_, then) in branches {
+                prefix_leaf_rows(then)?;
+            }
+            if let Some(els) = else_ {
+                prefix_leaf_rows(els)?;
+            }
+        }
+        Expr::Subquery(q) => prefix_leaf_rows(
+            let_item(q).ok_or_else(|| Error::compile("malformed let subquery (compiler bug)"))?,
+        )?,
+        other => {
+            return Err(Error::compile(format!(
+                "no leaf record in tail position {other} (compiler bug)"
+            )))
+        }
+    }
+    Ok(())
+}
+
+/// The single select item of a `let` subquery (see `udf::wrap_lets`).
+fn let_item(q: &mut Query) -> Option<&mut Expr> {
+    match &mut q.body {
+        SetExpr::Select(s) => match s.items.as_mut_slice() {
+            [SelectItem::Expr { expr, .. }] => Some(expr),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The CTE query around `body`: the single query, or with `batch_input` the
+/// batched one.
+fn assemble(
+    udf: &UdfProgram,
+    catalog: &Catalog,
+    layout: ArgsLayout,
+    mode: CteMode,
+    kept: &[String],
+    body: Expr,
+    batch_input: Option<&str>,
+) -> Query {
+    // Column list of the CTE. Batched trampolines carry the activation's
+    // row id in front of everything else.
+    let mut columns: Vec<String> = Vec::new();
+    if batch_input.is_some() {
+        columns.push(BATCH_RID.into());
+    }
+    columns.push("call?".into());
+    columns.push("fn".into());
+    match layout {
+        ArgsLayout::Flattened => {
+            columns.extend(udf.rec_vars.iter().map(|(v, _)| v.clone()));
+            columns.extend(kept.iter().cloned());
+        }
+        ArgsLayout::Packed => columns.push("args".into()),
+    }
+    columns.push("result".into());
+    let width = columns.len();
 
     // ---- base arm: the original invocation (Figure 8 line 3). In batch
     // mode there is one seed row per input row: parameters come from the
@@ -192,11 +277,11 @@ fn build_query_impl(
     match layout {
         ArgsLayout::Flattened => {
             base_items.extend(entry_vals_padded(udf));
-            base_items.extend(kept_names.iter().map(|p| Expr::col(p.clone())));
+            base_items.extend(kept.iter().map(|p| Expr::col(p.clone())));
         }
         ArgsLayout::Packed => {
             let mut packed = entry_vals_padded(udf);
-            packed.extend(kept_names.iter().map(|p| Expr::col(p.clone())));
+            packed.extend(kept.iter().map(|p| Expr::col(p.clone())));
             base_items.push(Expr::Row(packed));
         }
     }
@@ -307,7 +392,7 @@ fn build_query_impl(
     };
 
     let batch = batch_input.is_some();
-    Ok(Query {
+    Query {
         with: Some(With {
             recursive: mode == CteMode::Recursive,
             iterate: !batch && mode == CteMode::Iterate,
@@ -322,7 +407,7 @@ fn build_query_impl(
         order_by: vec![],
         limit: None,
         offset: None,
-    })
+    }
 }
 
 /// Entry values padded over the full `rec_vars` vector.
@@ -331,59 +416,180 @@ fn entry_vals_padded(udf: &UdfProgram) -> Vec<Expr> {
     udf.entry_vals.clone()
 }
 
-/// Every identifier appearing in the *bodies* of reachable ANF functions
-/// (lets, conditions, returns, call arguments). Computed by re-lexing the
-/// printed expressions — deliberately over-approximate, so pruning can never
-/// drop a parameter that is actually referenced.
-fn used_identifiers(anf: &AnfProgram) -> std::collections::HashSet<String> {
-    use plaway_sql::token::TokenKind;
-    let mut text = String::new();
-    let reachable = anf.reachable();
-    let add_tail = |t: &crate::anf::AnfTail, text: &mut String| {
-        fn rec(t: &crate::anf::AnfTail, text: &mut String) {
-            match t {
-                crate::anf::AnfTail::If { cond, then_, else_ } => {
-                    text.push_str(&format!(" {cond} "));
-                    rec(then_, text);
-                    rec(else_, text);
-                }
-                crate::anf::AnfTail::Call { args, .. } => {
-                    for a in args {
-                        text.push_str(&format!(" {a} "));
-                    }
-                }
-                crate::anf::AnfTail::LetChain { lets, body } => {
-                    for (_, e) in lets {
-                        text.push_str(&format!(" {e} "));
-                    }
-                    rec(body, text);
-                }
-                crate::anf::AnfTail::Ret(e) => text.push_str(&format!(" {e} ")),
-            }
-        }
-        rec(t, text);
+/// The parameters named anywhere in the *bodies* of reachable ANF
+/// functions (lets, conditions, returns, call arguments), in declaration
+/// order. Every name the printed bodies would show counts — columns and
+/// their qualifiers, function, table, alias, CTE and window names, cast
+/// types — whether or not it resolves to the parameter, so pruning can
+/// never drop a parameter that is actually referenced. Keywords are not
+/// names.
+fn used_params(anf: &AnfProgram, params: &[(String, Type)]) -> Vec<String> {
+    let mut names = NameScan {
+        params,
+        used: vec![false; params.len()],
     };
-    for (i, f) in anf.funcs.iter().enumerate() {
-        if !reachable[i] {
-            continue;
-        }
+    let reachable = anf.reachable();
+    for (f, _) in anf.funcs.iter().zip(reachable).filter(|(_, r)| *r) {
         for (_, e) in &f.lets {
-            text.push_str(&format!(" {e} "));
+            names.expr(e);
         }
-        add_tail(&f.tail, &mut text);
+        names.tail(&f.tail);
     }
-    let mut out = std::collections::HashSet::new();
-    if let Ok(tokens) = plaway_sql::Lexer::new(&text).tokenize() {
-        for t in tokens {
-            match t.kind {
-                TokenKind::Ident(s) | TokenKind::QuotedIdent(s) => {
-                    out.insert(s);
+    params
+        .iter()
+        .zip(names.used)
+        .filter(|(_, used)| *used)
+        .map(|((p, _), _)| p.clone())
+        .collect()
+}
+
+/// Marks which of `params` a walk over SQL ASTs meets as a name.
+struct NameScan<'a> {
+    params: &'a [(String, Type)],
+    used: Vec<bool>,
+}
+
+impl NameScan<'_> {
+    fn name(&mut self, name: &str) {
+        if let Some(i) = self.params.iter().position(|(p, _)| p == name) {
+            self.used[i] = true;
+        }
+    }
+
+    fn tail(&mut self, t: &AnfTail) {
+        match t {
+            AnfTail::If { cond, then_, else_ } => {
+                self.expr(cond);
+                self.tail(then_);
+                self.tail(else_);
+            }
+            AnfTail::Call { args, .. } => args.iter().for_each(|a| self.expr(a)),
+            AnfTail::LetChain { lets, body } => {
+                for (_, e) in lets {
+                    self.expr(e);
                 }
-                _ => {}
+                self.tail(body);
+            }
+            AnfTail::Ret(e) => self.expr(e),
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) {
+        e.walk(&mut |e| match e {
+            Expr::Column { qualifier, name } => {
+                if let Some(q) = qualifier {
+                    self.name(q);
+                }
+                self.name(name);
+            }
+            Expr::Param(name) | Expr::Func { name, .. } => self.name(name),
+            Expr::CountStar => self.name("count"),
+            Expr::WindowFunc { name, window, .. } => {
+                self.name(name);
+                match window {
+                    WindowRef::Named(w) => self.name(w),
+                    WindowRef::Inline(spec) => self.window_spec(spec),
+                }
+            }
+            // The type is source text; it lexes to lowercased words.
+            Expr::Cast { ty, .. } => {
+                for word in ty.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+                    self.name(&word.to_ascii_lowercase());
+                }
+            }
+            Expr::Subquery(q) | Expr::Exists(q) | Expr::InSubquery { query: q, .. } => {
+                self.query(q)
+            }
+            _ => {}
+        });
+    }
+
+    fn query(&mut self, q: &Query) {
+        if let Some(with) = &q.with {
+            for cte in &with.ctes {
+                self.name(&cte.name);
+                cte.columns.iter().for_each(|c| self.name(c));
+                self.query(&cte.query);
+            }
+        }
+        self.set_expr(&q.body);
+        q.order_by.iter().for_each(|o| self.expr(&o.expr));
+        for e in q.limit.iter().chain(&q.offset) {
+            self.expr(e);
+        }
+    }
+
+    fn set_expr(&mut self, body: &SetExpr) {
+        match body {
+            SetExpr::Select(s) => self.select(s),
+            SetExpr::SetOp { left, right, .. } => {
+                self.set_expr(left);
+                self.set_expr(right);
+            }
+            SetExpr::Values(rows) => rows.iter().flatten().for_each(|e| self.expr(e)),
+            SetExpr::Query(q) => self.query(q),
+        }
+    }
+
+    fn select(&mut self, s: &Select) {
+        for item in &s.items {
+            match item {
+                SelectItem::Expr { expr, alias } => {
+                    self.expr(expr);
+                    if let Some(a) = alias {
+                        self.name(a);
+                    }
+                }
+                SelectItem::QualifiedWildcard(q) => self.name(q),
+                SelectItem::Wildcard => {}
+            }
+        }
+        s.from.iter().for_each(|t| self.table_ref(t));
+        for e in s.where_.iter().chain(&s.group_by).chain(&s.having) {
+            self.expr(e);
+        }
+        for (name, spec) in &s.windows {
+            self.name(name);
+            self.window_spec(spec);
+        }
+    }
+
+    fn table_ref(&mut self, t: &TableRef) {
+        match t {
+            TableRef::Table { name, alias } => {
+                self.name(name);
+                if let Some(a) = alias {
+                    self.alias(a);
+                }
+            }
+            TableRef::Derived { query, alias, .. } => {
+                self.query(query);
+                self.alias(alias);
+            }
+            TableRef::Join {
+                left, right, on, ..
+            } => {
+                self.table_ref(left);
+                self.table_ref(right);
+                if let Some(on) = on {
+                    self.expr(on);
+                }
             }
         }
     }
-    out
+
+    fn alias(&mut self, a: &TableAlias) {
+        self.name(&a.name);
+        a.columns.iter().for_each(|c| self.name(c));
+    }
+
+    fn window_spec(&mut self, spec: &WindowSpec) {
+        if let Some(base) = &spec.base {
+            self.name(base);
+        }
+        spec.partition_by.iter().for_each(|e| self.expr(e));
+        spec.order_by.iter().for_each(|o| self.expr(&o.expr));
+    }
 }
 
 /// Substitute literal/argument expressions for the function's parameters —
@@ -415,13 +621,6 @@ fn cast_type_name(ty: &Type) -> String {
         Type::Unknown => "text".into(),
         other => other.sql_name(),
     }
-}
-
-/// The equality test used by unit tests: the outer query must filter on
-/// `NOT call?` (tail recursion needs no ascent — §2's closing discussion).
-#[allow(dead_code)]
-fn is_final_filter(e: &Expr) -> bool {
-    matches!(e, Expr::Unary { op: UnOp::Not, .. })
 }
 
 #[cfg(test)]
@@ -618,6 +817,244 @@ mod tests {
             "ANF inlining must give ~1 CTE step per loop iteration, got {}",
             s.stats.recursive_iterations
         );
+    }
+
+    /// The pruning [`used_params`] replaced, kept as its oracle: every
+    /// identifier of the printed bodies of reachable ANF functions (lets,
+    /// conditions, returns, call arguments), found by re-lexing the text.
+    fn used_identifiers(anf: &AnfProgram) -> std::collections::HashSet<String> {
+        use plaway_sql::token::TokenKind;
+        let mut text = String::new();
+        let reachable = anf.reachable();
+        let add_tail = |t: &crate::anf::AnfTail, text: &mut String| {
+            fn rec(t: &crate::anf::AnfTail, text: &mut String) {
+                match t {
+                    crate::anf::AnfTail::If { cond, then_, else_ } => {
+                        text.push_str(&format!(" {cond} "));
+                        rec(then_, text);
+                        rec(else_, text);
+                    }
+                    crate::anf::AnfTail::Call { args, .. } => {
+                        for a in args {
+                            text.push_str(&format!(" {a} "));
+                        }
+                    }
+                    crate::anf::AnfTail::LetChain { lets, body } => {
+                        for (_, e) in lets {
+                            text.push_str(&format!(" {e} "));
+                        }
+                        rec(body, text);
+                    }
+                    crate::anf::AnfTail::Ret(e) => text.push_str(&format!(" {e} ")),
+                }
+            }
+            rec(t, text);
+        };
+        for (i, f) in anf.funcs.iter().enumerate() {
+            if !reachable[i] {
+                continue;
+            }
+            for (_, e) in &f.lets {
+                text.push_str(&format!(" {e} "));
+            }
+            add_tail(&f.tail, &mut text);
+        }
+        let mut out = std::collections::HashSet::new();
+        if let Ok(tokens) = plaway_sql::Lexer::new(&text).tokenize() {
+            for t in tokens {
+                match t.kind {
+                    TokenKind::Ident(s) | TokenKind::QuotedIdent(s) => {
+                        out.insert(s);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        out
+    }
+
+    /// Sessions holding every table the kernels, extras and generated
+    /// programs read.
+    fn fixture_session() -> Session {
+        use plaway_workloads::{fsa, genprog, graph, grid, rowagg};
+        let mut s = Session::default();
+        genprog::install_fixture(&mut s).unwrap();
+        grid::GridWorld::generate(5, 5, 42).install(&mut s).unwrap();
+        grid::walk_workload().install(&mut s).unwrap();
+        fsa::install_fsa(&mut s).unwrap();
+        graph::Digraph::generate(50, 11).install(&mut s).unwrap();
+        rowagg::Ledger::generate(48, 7).install(&mut s).unwrap();
+        s
+    }
+
+    /// Functions whose parameters appear only in the less common places a
+    /// printed body names them: LIMIT/OFFSET, a window, a table, a function
+    /// or an alias name, a cast type.
+    const PRUNING_EDGES: [&str; 5] = [
+        "CREATE FUNCTION f(n int, off int) RETURNS int AS $$ \
+         DECLARE s int := 0; i int := 0; \
+         BEGIN WHILE i < n LOOP \
+           s := s + (SELECT kv.v FROM kv ORDER BY kv.k LIMIT 1 OFFSET off); i := i + 1; \
+         END LOOP; RETURN s; END $$ LANGUAGE plpgsql",
+        "CREATE FUNCTION f(n int, w int) RETURNS int AS $$ \
+         DECLARE s int := 0; i int := 0; \
+         BEGIN WHILE i < n LOOP \
+           s := s + (SELECT max(q.t) FROM (SELECT sum(kv.v) OVER (PARTITION BY kv.k % w ORDER BY kv.k) AS t FROM kv) AS q); \
+           i := i + 1; \
+         END LOOP; RETURN s; END $$ LANGUAGE plpgsql",
+        "CREATE FUNCTION f(n int, kv int, count int) RETURNS int AS $$ \
+         DECLARE s int := 0; i int := 0; \
+         BEGIN WHILE i < n LOOP \
+           s := s + (SELECT count(*) FROM kv); i := i + 1; \
+         END LOOP; RETURN s; END $$ LANGUAGE plpgsql",
+        "CREATE FUNCTION f(n int, abs int, q int) RETURNS int AS $$ \
+         DECLARE s int := 0; i int := 0; \
+         BEGIN WHILE i < n LOOP \
+           s := s + abs(i - 3) + (SELECT q.v FROM (SELECT kv.v FROM kv WHERE kv.k = i) AS q(v)); \
+           i := i + 1; \
+         END LOOP; RETURN s; END $$ LANGUAGE plpgsql",
+        "CREATE FUNCTION f(n int, float8 int) RETURNS int AS $$ \
+         DECLARE s int := 0; i int := 0; \
+         BEGIN WHILE i < n LOOP \
+           s := s + CAST(CAST(i AS float8) AS int); i := i + 1; \
+         END LOOP; RETURN s; END $$ LANGUAGE plpgsql",
+    ];
+
+    /// The kernels, the extras, seeded `genprog` programs and
+    /// [`PRUNING_EDGES`], as `(what, source)`.
+    fn corpus() -> Vec<(String, String)> {
+        use plaway_workloads::genprog::{self, GenConfig};
+        use plaway_workloads::{checked, extras, fib, fsa, graph, grid, rowagg};
+        let mut out: Vec<(String, String)> = [
+            ("walk", grid::walk_workload().source),
+            ("fibonacci", fib::fib_workload().source),
+            ("traverse", graph::traverse_workload().source),
+            ("fsa", fsa::parse_workload().source),
+            ("checked", checked::checked_workload().source),
+            ("settle", rowagg::settle_workload().source),
+            ("gcd", extras::gcd_workload().source),
+            ("collatz", extras::collatz_workload().source),
+            ("powmod", extras::power_workload().source),
+            ("strrev", extras::strrev_workload().source),
+            ("account", extras::bank_workload().source),
+        ]
+        .into_iter()
+        .map(|(what, source)| (what.to_string(), source))
+        .collect();
+        for (i, source) in PRUNING_EDGES.iter().enumerate() {
+            out.push((format!("pruning edge {i}"), source.to_string()));
+        }
+        for seed in 0..200 {
+            let program = genprog::generate(seed, GenConfig::default());
+            out.push((program.name, program.source));
+        }
+        out
+    }
+
+    /// One CTE body build serves both queries exactly as two separate
+    /// builds do, and the AST walk prunes exactly the parameters the
+    /// re-lex did.
+    #[test]
+    fn shared_build_matches_separate_builds_and_relex_pruning() {
+        let s = fixture_session();
+        let cat = &s.catalog;
+        for (what, source) in corpus() {
+            for layout in [ArgsLayout::Flattened, ArgsLayout::Packed] {
+                for mode in [CteMode::Recursive, CteMode::Iterate] {
+                    for optimize in [true, false] {
+                        let options = crate::pipeline::CompileOptions {
+                            optimize,
+                            layout,
+                            mode,
+                        };
+                        let c = crate::pipeline::compile_sql(cat, &source, options)
+                            .unwrap_or_else(|e| panic!("{what} {options:?}: {e}"));
+                        let (anf, udf) = (&c.anf, &c.udf);
+                        let (query, batch) =
+                            build_queries(anf, udf, cat, layout, mode, &c.batch_table).unwrap();
+                        let single = build_query(anf, udf, cat, layout, mode).unwrap();
+                        let separate =
+                            build_batch_query(anf, udf, cat, layout, mode, &c.batch_table).unwrap();
+                        assert!(query == single, "{what} {options:?}: query");
+                        assert!(batch == separate, "{what} {options:?}: batch query");
+                        assert_eq!(query.to_string(), single.to_string());
+                        assert_eq!(batch.to_string(), separate.to_string());
+                        assert_eq!(c.sql, query.to_string());
+                        assert_eq!(c.batch_sql, batch.to_string());
+
+                        let used = used_identifiers(anf);
+                        let relexed: Vec<String> = udf
+                            .fn_params
+                            .iter()
+                            .filter(|(p, _)| used.contains(p))
+                            .map(|(p, _)| p.clone())
+                            .collect();
+                        assert_eq!(
+                            used_params(anf, &udf.fn_params),
+                            relexed,
+                            "{what} {options:?}: pruned parameters"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Each of [`PRUNING_EDGES`] keeps the parameter it names only in an
+    /// unusual place.
+    #[test]
+    fn pruning_keeps_parameters_named_anywhere_in_the_body() {
+        let s = fixture_session();
+        for (source, want) in PRUNING_EDGES.iter().zip([
+            vec!["n", "off"],
+            vec!["n", "w"],
+            vec!["n", "kv", "count"],
+            vec!["n", "abs", "q"],
+            vec!["n", "float8"],
+        ]) {
+            let compiled = crate::pipeline::compile_sql(
+                &s.catalog,
+                source,
+                crate::pipeline::CompileOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(
+                used_params(&compiled.anf, &compiled.udf.fn_params),
+                want,
+                "{source}"
+            );
+        }
+    }
+
+    /// A keyword the printer writes bare is not a name: an init-only
+    /// parameter spelled `rows` is pruned beside a `ROWS` frame, where the
+    /// re-lex kept it.
+    #[test]
+    fn keywords_do_not_keep_a_parameter() {
+        let s = fixture_session();
+        let src = "CREATE FUNCTION f(n int, rows int) RETURNS int AS $$ \
+             DECLARE s int := rows; i int := 0; \
+             BEGIN WHILE i < n LOOP \
+               s := s + (SELECT max(q.t) FROM (SELECT sum(kv.v) OVER \
+                 (ORDER BY kv.k ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) AS t FROM kv) AS q); \
+               i := i + 1; \
+             END LOOP; RETURN s; END $$ LANGUAGE plpgsql";
+        let c = crate::pipeline::compile_sql(
+            &s.catalog,
+            src,
+            crate::pipeline::CompileOptions::default(),
+        )
+        .unwrap();
+        assert!(used_identifiers(&c.anf).contains("rows"));
+        assert_eq!(used_params(&c.anf, &c.udf.fn_params), ["n"]);
+
+        let mut s = s;
+        s.run(src).unwrap();
+        let args = [Value::Int(3), Value::Int(5)];
+        let want = plaway_interp::Interpreter::new()
+            .call(&mut s, "f", &args)
+            .unwrap();
+        assert_eq!(c.run(&mut s, &args).unwrap(), want);
     }
 
     #[test]

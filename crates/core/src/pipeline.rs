@@ -9,7 +9,7 @@ use plaway_plsql::ast::PlFunction;
 use plaway_sql::ast::Query;
 
 use crate::anf::AnfProgram;
-use crate::cte::{build_batch_query, build_query, ArgsLayout, CteMode, BATCH_RID};
+use crate::cte::{build_queries, ArgsLayout, CteMode, BATCH_RID};
 use crate::opt::OptStats;
 use crate::ssa::SsaProgram;
 use crate::udf::UdfProgram;
@@ -121,10 +121,8 @@ pub fn compile(
     let anf_text = anf.to_text();
     let udf = crate::udf::from_anf(&anf)?;
     let udf_sql = udf.to_sql();
-    let query = build_query(&anf, &udf, catalog, options.layout, options.mode)?;
-    let sql = query.to_string();
     let batch_table = format!("batch#{}", udf.fn_name);
-    let batch_query = build_batch_query(
+    let (query, batch_query) = build_queries(
         &anf,
         &udf,
         catalog,
@@ -132,6 +130,7 @@ pub fn compile(
         options.mode,
         &batch_table,
     )?;
+    let sql = query.to_string();
     let batch_sql = batch_query.to_string();
     let param_names: Vec<String> = function.params.iter().map(|(n, _)| n.clone()).collect();
     Ok(Compiled {

@@ -130,12 +130,6 @@ pub fn from_anf(anf: &AnfProgram) -> Result<UdfProgram> {
     })
 }
 
-fn is_called(anf: &AnfProgram, idx: usize) -> bool {
-    anf.funcs
-        .iter()
-        .any(|f| f.tail.calls().iter().any(|(t, _)| *t == idx))
-}
-
 /// Map a callee's positional arguments onto the full `rec_vars` vector
 /// (NULL for variables the callee does not bind).
 fn positional_args(
@@ -158,31 +152,14 @@ fn positional_args(
 /// How the leaves of a body (recursive calls, base cases) are rendered:
 /// as actual calls/values (the UDF of Figure 7) or as row constructions for
 /// the CTE simulation (Figure 9).
-pub(crate) enum LeafStyle {
+pub(crate) enum LeafStyle<'a> {
     /// `Lx(args)` -> `"f*"(x, args..., params...)`; `ret e` -> `e`.
     Call { rec_name: String },
     /// `Lx(args)` -> `ROW(true, x, args..., params..., NULL)`;
     /// `ret e` -> `ROW(false, NULL..., e)` (flattened), or the nested-record
     /// variant when `packed`. `params` lists the function parameters the CTE
     /// actually carries (pruned to those used beyond initialization).
-    ///
-    /// `rid` is the batch-trampoline row id: when set, every leaf record is
-    /// prefixed with this expression (the activation's `call#`), so the
-    /// working table can drive one in-flight activation per input row while
-    /// the recursive arm stays a pure `row_field` projection.
-    RowEncode {
-        packed: bool,
-        params: Vec<String>,
-        rid: Option<Expr>,
-    },
-}
-
-/// A leaf record, prefixed with the row id when one is threaded through.
-fn leaf_row(rid: &Option<Expr>, mut items: Vec<Expr>) -> Expr {
-    if let Some(r) = rid {
-        items.insert(0, r.clone());
-    }
-    Expr::Row(items)
+    RowEncode { packed: bool, params: &'a [String] },
 }
 
 /// Build the full dispatch CASE over `fn` with the given leaf rendering.
@@ -193,10 +170,16 @@ pub(crate) fn build_case(
     entry_tag: i64,
     style: &LeafStyle,
 ) -> Result<Expr> {
+    let mut called = vec![false; anf.funcs.len()];
+    for f in &anf.funcs {
+        for (target, _) in f.tail.calls() {
+            called[target] = true;
+        }
+    }
     let mut branches = Vec::new();
     for (i, f) in anf.funcs.iter().enumerate() {
         let Some(&tag) = tags.get(&i) else { continue };
-        if !is_called(anf, i) && tag != entry_tag {
+        if !called[i] && tag != entry_tag {
             continue;
         }
         let branch = body_to_expr(anf, rec_vars, tags, f, style)?;
@@ -279,22 +262,21 @@ fn tail_to_expr(
     Ok(match tail {
         AnfTail::Ret(e) => match style {
             LeafStyle::Call { .. } => e.clone(),
-            LeafStyle::RowEncode {
-                packed: true, rid, ..
-            } => leaf_row(
-                rid,
-                vec![Expr::bool(false), Expr::null(), Expr::null(), e.clone()],
-            ),
+            LeafStyle::RowEncode { packed: true, .. } => Expr::Row(vec![
+                Expr::bool(false),
+                Expr::null(),
+                Expr::null(),
+                e.clone(),
+            ]),
             LeafStyle::RowEncode {
                 packed: false,
                 params,
-                rid,
             } => {
                 let mut items = vec![Expr::bool(false), Expr::null()];
                 items.extend(rec_vars.iter().map(|_| Expr::null()));
                 items.extend(params.iter().map(|_| Expr::null()));
                 items.push(e.clone());
-                leaf_row(rid, items)
+                Expr::Row(items)
             }
         },
         AnfTail::If { cond, then_, else_ } => Expr::Case {
@@ -328,30 +310,25 @@ fn tail_to_expr(
                 LeafStyle::RowEncode {
                     packed: true,
                     params,
-                    rid,
                 } => {
                     let mut packed_args = vals;
                     packed_args.extend(params.iter().map(|p| Expr::col(p.clone())));
-                    leaf_row(
-                        rid,
-                        vec![
-                            Expr::bool(true),
-                            Expr::int(tag),
-                            Expr::Row(packed_args),
-                            Expr::null(),
-                        ],
-                    )
+                    Expr::Row(vec![
+                        Expr::bool(true),
+                        Expr::int(tag),
+                        Expr::Row(packed_args),
+                        Expr::null(),
+                    ])
                 }
                 LeafStyle::RowEncode {
                     packed: false,
                     params,
-                    rid,
                 } => {
                     let mut items = vec![Expr::bool(true), Expr::int(tag)];
                     items.extend(vals);
                     items.extend(params.iter().map(|p| Expr::col(p.clone())));
                     items.push(Expr::null());
-                    leaf_row(rid, items)
+                    Expr::Row(items)
                 }
             }
         }

@@ -50,6 +50,11 @@ impl ParamScope {
 /// A fully planned statement, cache-ready.
 #[derive(Debug, Clone)]
 pub struct PreparedPlan {
+    /// The text the plan was prepared from, and the key its per-query
+    /// statistics are kept under: the text a caller of
+    /// [`Session::prepare_parsed`](crate::Session::prepare_parsed) handed
+    /// in, byte for byte, or otherwise the printed normal form of the
+    /// planned query.
     pub sql: String,
     pub plan: PlanNode,
     /// Output column names.
@@ -160,10 +165,23 @@ pub struct Planner<'a> {
 }
 
 /// Plan a full query with an optional parameter scope, using the session's
-/// access-path policy.
+/// access-path policy. The plan's [`PreparedPlan::sql`] is the query
+/// printed.
 pub fn plan_query(
     catalog: &Catalog,
     query: &Query,
+    params: Option<&ParamScope>,
+    index_mode: IndexMode,
+) -> Result<PreparedPlan> {
+    plan_query_as(catalog, query, query.to_string(), params, index_mode)
+}
+
+/// [`plan_query`] for a query whose text the caller already holds: `sql`
+/// is the text `query` was parsed from, kept as [`PreparedPlan::sql`].
+pub(crate) fn plan_query_as(
+    catalog: &Catalog,
+    query: &Query,
+    sql: String,
     params: Option<&ParamScope>,
     index_mode: IndexMode,
 ) -> Result<PreparedPlan> {
@@ -181,7 +199,7 @@ pub fn plan_query(
     // invariant sub-plans) once, so execution never tree-walks per row.
     crate::vm::precompile_plan(&mut plan);
     Ok(PreparedPlan {
-        sql: query.to_string(),
+        sql,
         plan,
         columns: scope.names(),
         param_names: params.map(|ps| ps.names.clone()).unwrap_or_default(),

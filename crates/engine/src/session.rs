@@ -30,7 +30,9 @@ use crate::exec::{eval, exec, EvalEnv, FnPlanCache, Runtime, RuntimeStats, Scope
 use crate::explain::AnalyzeState;
 use crate::ir::ExprIr;
 use crate::metrics::SessionMetrics;
-use crate::planner::{plan_expr, plan_query, plan_udf_body, ParamScope, PreparedPlan};
+use crate::planner::{
+    plan_expr, plan_query, plan_query_as, plan_udf_body, ParamScope, PreparedPlan,
+};
 use crate::profile::{Phase, Profiler};
 use crate::tuplestore::BufferStats;
 
@@ -691,7 +693,9 @@ impl Session {
     /// [`Session::prepare`] for a caller that already holds `text` parsed:
     /// `query` must be what `parse_query(text)` returns. The plan is cached
     /// under `text`, so this shares entries with the text path, and a cache
-    /// miss plans `query` without parsing `text` again.
+    /// miss plans `query` without parsing `text` again. A plan this call
+    /// makes carries `text` itself as its [`PreparedPlan::sql`], without
+    /// printing `query`.
     pub fn prepare_parsed(
         &mut self,
         text: &str,
@@ -727,20 +731,21 @@ impl Session {
             PlanLookup::Miss => "\"cache\":\"miss\"",
         };
         self.plan_cache_misses += 1;
-        let parsed;
-        let query = match query {
-            Some(q) => q,
-            None => {
-                parsed = plaway_sql::parse_query(text)?;
-                &parsed
-            }
-        };
-        let prepared = Arc::new(plan_query(
-            &self.catalog,
-            query,
-            Some(params),
-            self.config.index_mode,
-        )?);
+        let prepared = Arc::new(match query {
+            Some(query) => plan_query_as(
+                &self.catalog,
+                query,
+                text.to_string(),
+                Some(params),
+                self.config.index_mode,
+            )?,
+            None => plan_query(
+                &self.catalog,
+                &plaway_sql::parse_query(text)?,
+                Some(params),
+                self.config.index_mode,
+            )?,
+        });
         self.db.store_plan(key, Arc::clone(&prepared));
         if self.config.trace {
             self.emit_trace("prepare", cache);
@@ -1800,6 +1805,28 @@ mod tests {
         let text = r.to_table_string();
         assert!(text.contains('a') && text.contains("one"), "{text}");
         assert!(text.contains("(1 row)"), "{text}");
+    }
+
+    /// A plan prepared from text carries the printed normal form of its
+    /// parse, so per-query statistics key on one string however the text
+    /// was spelled. A plan prepared from a parsed query carries the text it
+    /// was handed.
+    #[test]
+    fn prepared_plan_sql_is_the_text_it_was_prepared_from() {
+        let mut s = session();
+        s.track_queries = true;
+        let scope = ParamScope::new(Vec::new());
+        let normal = "SELECT a, b FROM t WHERE a = 1";
+        let plan = s.prepare("select  a ,b\nfrom t where a=1", &scope).unwrap();
+        assert_eq!(plan.sql, normal);
+        s.execute_prepared(&plan, Vec::new()).unwrap();
+        assert_eq!(s.query_stats.keys().collect::<Vec<_>>(), [normal]);
+
+        let text = "SELECT t.c FROM t WHERE t.a > 1";
+        let query = plaway_sql::parse_query(text).unwrap();
+        let plan = s.prepare_parsed(text, &query, &scope).unwrap();
+        assert_eq!(plan.sql, text);
+        assert!(Arc::ptr_eq(&plan, &s.prepare(text, &scope).unwrap()));
     }
 
     #[test]

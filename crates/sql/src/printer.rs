@@ -6,6 +6,8 @@
 
 use std::fmt::Write;
 
+use plaway_common::Value;
+
 use crate::ast::*;
 
 /// Operator precedence used to decide parenthesization; mirrors the parser.
@@ -34,60 +36,109 @@ fn prec_of(e: &Expr) -> u8 {
 /// Quote an identifier if it is not a plain lowercase name (or would clash
 /// with syntax). Quoted form always re-lexes to the same identifier.
 pub fn quote_ident(name: &str) -> String {
-    let plain = !name.is_empty()
+    let mut out = String::with_capacity(name.len() + 2);
+    write_ident(&mut out, name);
+    out
+}
+
+/// [`quote_ident`], written into `out`.
+fn write_ident(out: &mut String, name: &str) {
+    let plain = name
+        .bytes()
+        .next()
+        .is_some_and(|c| c.is_ascii_lowercase() || c == b'_')
         && name
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_lowercase() || c == '_')
-        && name
-            .chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
-    // A handful of words the parser treats specially even in ident position.
-    const NEEDS_QUOTES: &[&str] = &[
-        "select",
-        "from",
-        "where",
-        "group",
-        "having",
-        "order",
-        "limit",
-        "offset",
-        "union",
-        "except",
-        "intersect",
-        "case",
-        "when",
-        "then",
-        "else",
-        "end",
-        "null",
-        "true",
-        "false",
-        "and",
-        "or",
-        "not",
-        "as",
-        "on",
-        "join",
-        "left",
-        "cross",
-        "lateral",
-        "exists",
-        "row",
-        "cast",
-        "between",
-        "in",
-        "like",
-        "is",
-        "with",
-        "values",
-        "window",
-        "over",
-    ];
-    if plain && !NEEDS_QUOTES.contains(&name) {
-        name.to_string()
+            .bytes()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == b'_');
+    if plain && !needs_quotes(name) {
+        out.push_str(name);
     } else {
-        format!("\"{}\"", name.replace('"', "\"\""))
+        out.push('"');
+        for c in name.chars() {
+            if c == '"' {
+                out.push('"');
+            }
+            out.push(c);
+        }
+        out.push('"');
+    }
+}
+
+/// A handful of words the parser treats specially even in ident position.
+fn needs_quotes(name: &str) -> bool {
+    matches!(
+        name,
+        "select"
+            | "from"
+            | "where"
+            | "group"
+            | "having"
+            | "order"
+            | "limit"
+            | "offset"
+            | "union"
+            | "except"
+            | "intersect"
+            | "case"
+            | "when"
+            | "then"
+            | "else"
+            | "end"
+            | "null"
+            | "true"
+            | "false"
+            | "and"
+            | "or"
+            | "not"
+            | "as"
+            | "on"
+            | "join"
+            | "left"
+            | "cross"
+            | "lateral"
+            | "exists"
+            | "row"
+            | "cast"
+            | "between"
+            | "in"
+            | "like"
+            | "is"
+            | "with"
+            | "values"
+            | "window"
+            | "over"
+    )
+}
+
+/// `name1, name2, ...`, each quoted as needed.
+fn write_ident_list(out: &mut String, names: &[String]) {
+    for (i, n) in names.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_ident(out, n);
+    }
+}
+
+/// `e1, e2, ...`.
+fn write_expr_list(out: &mut String, exprs: &[Expr]) {
+    for (i, e) in exprs.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_expr(out, e, 0);
+    }
+}
+
+/// A literal; the forms generated queries are made of are written in place.
+fn write_literal(out: &mut String, v: &Value) {
+    match v {
+        Value::Null => out.push_str("NULL"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        other => out.push_str(&other.to_sql_literal()),
     }
 }
 
@@ -99,21 +150,17 @@ fn write_expr(out: &mut String, e: &Expr, min_prec: u8) {
         out.push('(');
     }
     match e {
-        Expr::Literal(v) => {
-            let _ = write!(out, "{}", v.to_sql_literal());
-        }
+        Expr::Literal(v) => write_literal(out, v),
         Expr::Column { qualifier, name } => {
             if let Some(q) = qualifier {
-                let _ = write!(out, "{}.{}", quote_ident(q), quote_ident(name));
-            } else {
-                let _ = write!(out, "{}", quote_ident(name));
+                write_ident(out, q);
+                out.push('.');
             }
+            write_ident(out, name);
         }
-        Expr::Param(name) => {
-            // Parameters have no surface syntax; print as a column so the
-            // text stays parseable (resolution re-creates the Param).
-            let _ = write!(out, "{}", quote_ident(name));
-        }
+        // Parameters have no surface syntax; print as a column so the
+        // text stays parseable (resolution re-creates the Param).
+        Expr::Param(name) => write_ident(out, name),
         Expr::Unary { op, expr } => match op {
             UnOp::Neg => {
                 out.push('-');
@@ -128,7 +175,9 @@ fn write_expr(out: &mut String, e: &Expr, min_prec: u8) {
             // Left-assoc: left child may be same precedence, right must be
             // strictly higher.
             write_expr(out, left, p);
-            let _ = write!(out, " {} ", op.sql());
+            out.push(' ');
+            out.push_str(op.sql());
+            out.push(' ');
             write_expr(out, right, p + 1);
         }
         Expr::IsNull { expr, negated } => {
@@ -158,12 +207,7 @@ fn write_expr(out: &mut String, e: &Expr, min_prec: u8) {
         } => {
             write_expr(out, expr, 7);
             out.push_str(if *negated { " NOT IN (" } else { " IN (" });
-            for (i, item) in list.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_expr(out, item, 0);
-            }
+            write_expr_list(out, list);
             out.push(')');
         }
         Expr::InSubquery {
@@ -173,7 +217,7 @@ fn write_expr(out: &mut String, e: &Expr, min_prec: u8) {
         } => {
             write_expr(out, expr, 7);
             out.push_str(if *negated { " NOT IN (" } else { " IN (" });
-            let _ = write!(out, "{query}");
+            write_query(out, query);
             out.push(')');
         }
         Expr::Like {
@@ -208,13 +252,9 @@ fn write_expr(out: &mut String, e: &Expr, min_prec: u8) {
             out.push_str(" END");
         }
         Expr::Func { name, args } => {
-            let _ = write!(out, "{}(", quote_ident(name));
-            for (i, a) in args.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_expr(out, a, 0);
-            }
+            write_ident(out, name);
+            out.push('(');
+            write_expr_list(out, args);
             out.push(')');
         }
         Expr::CountStar => out.push_str("count(*)"),
@@ -222,20 +262,14 @@ fn write_expr(out: &mut String, e: &Expr, min_prec: u8) {
             if name == "count" && args.is_empty() {
                 out.push_str("count(*)");
             } else {
-                let _ = write!(out, "{}(", quote_ident(name));
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    write_expr(out, a, 0);
-                }
+                write_ident(out, name);
+                out.push('(');
+                write_expr_list(out, args);
                 out.push(')');
             }
             out.push_str(" OVER ");
             match window {
-                WindowRef::Named(n) => {
-                    let _ = write!(out, "{}", quote_ident(n));
-                }
+                WindowRef::Named(n) => write_ident(out, n),
                 WindowRef::Inline(spec) => {
                     out.push('(');
                     write_window_spec(out, spec);
@@ -244,19 +278,18 @@ fn write_expr(out: &mut String, e: &Expr, min_prec: u8) {
             }
         }
         Expr::Subquery(q) => {
-            let _ = write!(out, "({q})");
+            out.push('(');
+            write_query(out, q);
+            out.push(')');
         }
         Expr::Exists(q) => {
-            let _ = write!(out, "EXISTS ({q})");
+            out.push_str("EXISTS (");
+            write_query(out, q);
+            out.push(')');
         }
         Expr::Row(items) => {
             out.push_str("ROW(");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_expr(out, item, 0);
-            }
+            write_expr_list(out, items);
             out.push(')');
         }
         Expr::Cast { expr, ty } => {
@@ -264,7 +297,9 @@ fn write_expr(out: &mut String, e: &Expr, min_prec: u8) {
             // anyway and CAST is unambiguous.
             out.push_str("CAST(");
             write_expr(out, expr, 0);
-            let _ = write!(out, " AS {ty})");
+            out.push_str(" AS ");
+            out.push_str(ty);
+            out.push(')');
         }
     }
     if need_parens {
@@ -282,17 +317,12 @@ fn write_window_spec(out: &mut String, spec: &WindowSpec) {
     };
     if let Some(base) = &spec.base {
         space(out, &mut first);
-        let _ = write!(out, "{}", quote_ident(base));
+        write_ident(out, base);
     }
     if !spec.partition_by.is_empty() {
         space(out, &mut first);
         out.push_str("PARTITION BY ");
-        for (i, e) in spec.partition_by.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            write_expr(out, e, 0);
-        }
+        write_expr_list(out, &spec.partition_by);
     }
     if !spec.order_by.is_empty() {
         space(out, &mut first);
@@ -305,26 +335,24 @@ fn write_window_spec(out: &mut String, spec: &WindowSpec) {
             FrameUnits::Rows => "ROWS",
             FrameUnits::Range => "RANGE",
         });
-        let _ = write!(
-            out,
-            " BETWEEN {} AND {}",
-            frame_bound(&frame.start),
-            frame_bound(&frame.end)
-        );
+        out.push_str(" BETWEEN ");
+        write_frame_bound(out, &frame.start);
+        out.push_str(" AND ");
+        write_frame_bound(out, &frame.end);
         if frame.exclude_current_row {
             out.push_str(" EXCLUDE CURRENT ROW");
         }
     }
 }
 
-fn frame_bound(b: &FrameBound) -> String {
-    match b {
-        FrameBound::UnboundedPreceding => "UNBOUNDED PRECEDING".into(),
-        FrameBound::Preceding(n) => format!("{n} PRECEDING"),
-        FrameBound::CurrentRow => "CURRENT ROW".into(),
-        FrameBound::Following(n) => format!("{n} FOLLOWING"),
-        FrameBound::UnboundedFollowing => "UNBOUNDED FOLLOWING".into(),
-    }
+fn write_frame_bound(out: &mut String, b: &FrameBound) {
+    let _ = match b {
+        FrameBound::UnboundedPreceding => write!(out, "UNBOUNDED PRECEDING"),
+        FrameBound::Preceding(n) => write!(out, "{n} PRECEDING"),
+        FrameBound::CurrentRow => write!(out, "CURRENT ROW"),
+        FrameBound::Following(n) => write!(out, "{n} FOLLOWING"),
+        FrameBound::UnboundedFollowing => write!(out, "UNBOUNDED FOLLOWING"),
+    };
 }
 
 fn write_order_items(out: &mut String, items: &[OrderItem]) {
@@ -347,7 +375,7 @@ fn write_order_items(out: &mut String, items: &[OrderItem]) {
 fn write_table_ref(out: &mut String, t: &TableRef) {
     match t {
         TableRef::Table { name, alias } => {
-            let _ = write!(out, "{}", quote_ident(name));
+            write_ident(out, name);
             if let Some(a) = alias {
                 write_alias(out, a);
             }
@@ -360,7 +388,9 @@ fn write_table_ref(out: &mut String, t: &TableRef) {
             if *lateral {
                 out.push_str("LATERAL ");
             }
-            let _ = write!(out, "({query})");
+            out.push('(');
+            write_query(out, query);
+            out.push(')');
             write_alias(out, alias);
         }
         TableRef::Join {
@@ -396,180 +426,196 @@ fn write_table_ref(out: &mut String, t: &TableRef) {
 }
 
 fn write_alias(out: &mut String, a: &TableAlias) {
-    let _ = write!(out, " AS {}", quote_ident(&a.name));
+    out.push_str(" AS ");
+    write_ident(out, &a.name);
     if !a.columns.is_empty() {
         out.push('(');
-        for (i, c) in a.columns.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{}", quote_ident(c));
-        }
+        write_ident_list(out, &a.columns);
         out.push(')');
     }
 }
 
+/// `(e1, ...), (e2, ...)` of a VALUES list.
+fn write_values_rows(out: &mut String, rows: &[Vec<Expr>]) {
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push('(');
+        write_expr_list(out, row);
+        out.push(')');
+    }
+}
+
+/// Append a SELECT block to `out`.
+pub fn write_select(out: &mut String, s: &Select) {
+    out.push_str("SELECT ");
+    if s.distinct {
+        out.push_str("DISTINCT ");
+    }
+    for (i, item) in s.items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        match item {
+            SelectItem::Wildcard => out.push('*'),
+            SelectItem::QualifiedWildcard(q) => {
+                write_ident(out, q);
+                out.push_str(".*");
+            }
+            SelectItem::Expr { expr, alias } => {
+                write_expr(out, expr, 0);
+                if let Some(a) = alias {
+                    out.push_str(" AS ");
+                    write_ident(out, a);
+                }
+            }
+        }
+    }
+    if !s.from.is_empty() {
+        out.push_str(" FROM ");
+        for (i, t) in s.from.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            write_table_ref(out, t);
+        }
+    }
+    if let Some(w) = &s.where_ {
+        out.push_str(" WHERE ");
+        write_expr(out, w, 0);
+    }
+    if !s.group_by.is_empty() {
+        out.push_str(" GROUP BY ");
+        write_expr_list(out, &s.group_by);
+    }
+    if let Some(h) = &s.having {
+        out.push_str(" HAVING ");
+        write_expr(out, h, 0);
+    }
+    if !s.windows.is_empty() {
+        out.push_str(" WINDOW ");
+        for (i, (name, spec)) in s.windows.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            write_ident(out, name);
+            out.push_str(" AS (");
+            write_window_spec(out, spec);
+            out.push(')');
+        }
+    }
+}
+
+/// Append a query body (SELECT, set operation, VALUES) to `out`.
+pub fn write_set_expr(out: &mut String, body: &SetExpr) {
+    match body {
+        SetExpr::Select(s) => write_select(out, s),
+        SetExpr::SetOp {
+            op,
+            all,
+            left,
+            right,
+        } => {
+            write_set_expr(out, left);
+            out.push_str(match op {
+                SetOp::Union => " UNION",
+                SetOp::Except => " EXCEPT",
+                SetOp::Intersect => " INTERSECT",
+            });
+            if *all {
+                out.push_str(" ALL");
+            }
+            out.push(' ');
+            write_set_expr(out, right);
+        }
+        SetExpr::Values(rows) => {
+            out.push_str("VALUES ");
+            write_values_rows(out, rows);
+        }
+        SetExpr::Query(q) => {
+            out.push('(');
+            write_query(out, q);
+            out.push(')');
+        }
+    }
+}
+
+/// Append a full query to `out`. Nested queries (subqueries, derived
+/// tables, CTE bodies) are written into the same buffer.
+pub fn write_query(out: &mut String, q: &Query) {
+    if let Some(with) = &q.with {
+        out.push_str("WITH ");
+        if with.recursive {
+            out.push_str("RECURSIVE ");
+        } else if with.iterate {
+            out.push_str("ITERATE ");
+        } else if with.retire {
+            out.push_str("RETIRE ");
+        }
+        for (i, cte) in with.ctes.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            write_ident(out, &cte.name);
+            if !cte.columns.is_empty() {
+                out.push('(');
+                write_ident_list(out, &cte.columns);
+                out.push(')');
+            }
+            out.push_str(" AS (");
+            write_query(out, &cte.query);
+            out.push(')');
+        }
+        out.push(' ');
+    }
+    write_set_expr(out, &q.body);
+    if !q.order_by.is_empty() {
+        out.push_str(" ORDER BY ");
+        write_order_items(out, &q.order_by);
+    }
+    if let Some(l) = &q.limit {
+        out.push_str(" LIMIT ");
+        write_expr(out, l, 0);
+    }
+    if let Some(o) = &q.offset {
+        out.push_str(" OFFSET ");
+        write_expr(out, o, 0);
+    }
+}
+
+/// Render into a fresh buffer and hand it to a formatter.
+fn display_with<T: ?Sized>(
+    f: &mut std::fmt::Formatter<'_>,
+    value: &T,
+    write: fn(&mut String, &T),
+) -> std::fmt::Result {
+    let mut out = String::new();
+    write(&mut out, value);
+    f.write_str(&out)
+}
+
 impl std::fmt::Display for Expr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = String::new();
-        write_expr(&mut s, self, 0);
-        f.write_str(&s)
+        display_with(f, self, |out, e| write_expr(out, e, 0))
     }
 }
 
 impl std::fmt::Display for Select {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        out.push_str("SELECT ");
-        if self.distinct {
-            out.push_str("DISTINCT ");
-        }
-        for (i, item) in self.items.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            match item {
-                SelectItem::Wildcard => out.push('*'),
-                SelectItem::QualifiedWildcard(q) => {
-                    let _ = write!(out, "{}.*", quote_ident(q));
-                }
-                SelectItem::Expr { expr, alias } => {
-                    write_expr(&mut out, expr, 0);
-                    if let Some(a) = alias {
-                        let _ = write!(out, " AS {}", quote_ident(a));
-                    }
-                }
-            }
-        }
-        if !self.from.is_empty() {
-            out.push_str(" FROM ");
-            for (i, t) in self.from.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_table_ref(&mut out, t);
-            }
-        }
-        if let Some(w) = &self.where_ {
-            out.push_str(" WHERE ");
-            write_expr(&mut out, w, 0);
-        }
-        if !self.group_by.is_empty() {
-            out.push_str(" GROUP BY ");
-            for (i, e) in self.group_by.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_expr(&mut out, e, 0);
-            }
-        }
-        if let Some(h) = &self.having {
-            out.push_str(" HAVING ");
-            write_expr(&mut out, h, 0);
-        }
-        if !self.windows.is_empty() {
-            out.push_str(" WINDOW ");
-            for (i, (name, spec)) in self.windows.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{} AS (", quote_ident(name));
-                write_window_spec(&mut out, spec);
-                out.push(')');
-            }
-        }
-        f.write_str(&out)
+        display_with(f, self, write_select)
     }
 }
 
 impl std::fmt::Display for SetExpr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SetExpr::Select(s) => write!(f, "{s}"),
-            SetExpr::SetOp {
-                op,
-                all,
-                left,
-                right,
-            } => {
-                let opname = match op {
-                    SetOp::Union => "UNION",
-                    SetOp::Except => "EXCEPT",
-                    SetOp::Intersect => "INTERSECT",
-                };
-                write!(
-                    f,
-                    "{left} {opname}{} {right}",
-                    if *all { " ALL" } else { "" }
-                )
-            }
-            SetExpr::Values(rows) => {
-                let mut out = String::from("VALUES ");
-                for (i, row) in rows.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push('(');
-                    for (j, e) in row.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        write_expr(&mut out, e, 0);
-                    }
-                    out.push(')');
-                }
-                f.write_str(&out)
-            }
-            SetExpr::Query(q) => write!(f, "({q})"),
-        }
+        display_with(f, self, write_set_expr)
     }
 }
 
 impl std::fmt::Display for Query {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        if let Some(with) = &self.with {
-            out.push_str("WITH ");
-            if with.recursive {
-                out.push_str("RECURSIVE ");
-            } else if with.iterate {
-                out.push_str("ITERATE ");
-            } else if with.retire {
-                out.push_str("RETIRE ");
-            }
-            for (i, cte) in with.ctes.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{}", quote_ident(&cte.name));
-                if !cte.columns.is_empty() {
-                    out.push('(');
-                    for (j, c) in cte.columns.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        let _ = write!(out, "{}", quote_ident(c));
-                    }
-                    out.push(')');
-                }
-                let _ = write!(out, " AS ({})", cte.query);
-            }
-            out.push(' ');
-        }
-        let _ = write!(out, "{}", self.body);
-        if !self.order_by.is_empty() {
-            out.push_str(" ORDER BY ");
-            write_order_items(&mut out, &self.order_by);
-        }
-        if let Some(l) = &self.limit {
-            out.push_str(" LIMIT ");
-            write_expr(&mut out, l, 0);
-        }
-        if let Some(o) = &self.offset {
-            out.push_str(" OFFSET ");
-            write_expr(&mut out, o, 0);
-        }
-        f.write_str(&out)
+        display_with(f, self, write_query)
     }
 }
 
@@ -646,30 +692,21 @@ impl std::fmt::Display for Stmt {
                 columns,
                 source,
             } => {
-                let mut out = format!("INSERT INTO {}", quote_ident(table));
+                let mut out = String::from("INSERT INTO ");
+                write_ident(&mut out, table);
                 if !columns.is_empty() {
-                    let cols: Vec<String> = columns.iter().map(|c| quote_ident(c)).collect();
-                    let _ = write!(out, " ({})", cols.join(", "));
+                    out.push_str(" (");
+                    write_ident_list(&mut out, columns);
+                    out.push(')');
                 }
                 match source {
                     InsertSource::Values(rows) => {
                         out.push_str(" VALUES ");
-                        for (i, row) in rows.iter().enumerate() {
-                            if i > 0 {
-                                out.push_str(", ");
-                            }
-                            out.push('(');
-                            for (j, e) in row.iter().enumerate() {
-                                if j > 0 {
-                                    out.push_str(", ");
-                                }
-                                write_expr(&mut out, e, 0);
-                            }
-                            out.push(')');
-                        }
+                        write_values_rows(&mut out, rows);
                     }
                     InsertSource::Query(q) => {
-                        let _ = write!(out, " {q}");
+                        out.push(' ');
+                        write_query(&mut out, q);
                     }
                 }
                 f.write_str(&out)
@@ -839,6 +876,167 @@ mod tests {
         let printed = ast.to_string();
         assert!(printed.contains("\"walk*\""));
         assert_eq!(parse_statement(&printed).unwrap(), ast);
+    }
+
+    // ---- exact text. Compiled queries are cached, keyed and reported under
+    // the printed text, so the printer's bytes are part of its contract.
+
+    #[test]
+    fn identifiers_print_exactly() {
+        use super::quote_ident;
+        use crate::ast::Expr;
+        for (name, want) in [
+            ("x", "x"),
+            ("_x", "_x"),
+            ("step1_b", "step1_b"),
+            ("fn", "fn"),
+            ("select", r#""select""#),
+            ("window", r#""window""#),
+            ("lateral", r#""lateral""#),
+            ("Abc", r#""Abc""#),
+            ("ABC", r#""ABC""#),
+            (r#"a"b"#, r#""a""b""#),
+            ("call?", r#""call?""#),
+            ("call#", r#""call#""#),
+            ("fib*", r#""fib*""#),
+            ("1a", r#""1a""#),
+            ("", r#""""#),
+        ] {
+            assert_eq!(quote_ident(name), want, "quote_ident({name:?})");
+            assert_eq!(Expr::col(name).to_string(), want, "column {name:?}");
+            assert_eq!(Expr::Param(name.into()).to_string(), want, "param {name:?}");
+        }
+        assert_eq!(Expr::qcol("r", "call?").to_string(), r#"r."call?""#);
+        assert_eq!(Expr::qcol("Run", "fn").to_string(), r#""Run".fn"#);
+        assert_eq!(
+            Expr::func("walk*", vec![Expr::col("Step")]).to_string(),
+            r#""walk*"("Step")"#
+        );
+    }
+
+    #[test]
+    fn literals_print_exactly() {
+        use crate::ast::Expr;
+        use plaway_common::Value;
+        for (v, want) in [
+            (Value::Null, "NULL"),
+            (Value::Bool(true), "true"),
+            (Value::Bool(false), "false"),
+            (Value::Int(0), "0"),
+            (Value::Int(42), "42"),
+            (Value::Int(-42), "-42"),
+            (Value::Int(i64::MIN), "-9223372036854775808"),
+            (Value::Float(2.0), "2.0"),
+            (Value::Float(-0.25), "-0.25"),
+            (Value::Float(1e20), "100000000000000000000"),
+            (Value::Float(f64::NAN), "'NaN'::float8"),
+            (Value::Float(f64::NEG_INFINITY), "'-Infinity'::float8"),
+            (Value::text(""), "''"),
+            (Value::text("it's"), "'it''s'"),
+            (
+                Value::record(vec![
+                    Value::Int(1),
+                    Value::Null,
+                    Value::text("a'b"),
+                    Value::record(vec![Value::Bool(false)]),
+                ]),
+                "ROW(1, NULL, 'a''b', ROW(false))",
+            ),
+        ] {
+            assert_eq!(Expr::Literal(v.clone()).to_string(), want, "{v:?}");
+        }
+        assert_eq!(
+            Expr::Row(vec![Expr::bool(true), Expr::int(-3), Expr::null()]).to_string(),
+            "ROW(true, -3, NULL)"
+        );
+        assert_eq!(
+            Expr::Cast {
+                expr: Box::new(Expr::null()),
+                ty: "int".into()
+            }
+            .to_string(),
+            "CAST(NULL AS int)"
+        );
+    }
+
+    /// Every position a query nests in prints the same as at top level.
+    #[test]
+    fn nested_queries_print_exactly() {
+        for sql in [
+            // scalar subquery
+            "SELECT (SELECT max(t.a) FROM t WHERE t.b = x) AS m",
+            // EXISTS and IN (subquery)
+            "SELECT 1 WHERE EXISTS (SELECT 1 FROM t WHERE t.a = x)",
+            "SELECT s.x FROM s WHERE s.x NOT IN (SELECT t.a FROM t) AND s.y IN (SELECT 2)",
+            // LATERAL derived table and a join chain
+            r#"SELECT * FROM run AS r, LATERAL (SELECT r.x + 1) AS s(y)"#,
+            "SELECT _1.b FROM (SELECT 1) AS _0(a) LEFT JOIN LATERAL (SELECT _0.a * 2) AS _1(b) ON true",
+            "SELECT * FROM a JOIN b ON a.x = b.x CROSS JOIN c",
+            // CTE bodies, every fixpoint keyword
+            r#"WITH RECURSIVE run("call?", fn, "call#") AS (SELECT true, 1, 0 UNION ALL SELECT row_field(iter.x, 1), row_field(iter.x, 2), r."call#" FROM run AS r, LATERAL (SELECT ROW(false, r.fn)) AS iter(x) WHERE r."call?") SELECT r.fn AS result FROM run AS r WHERE NOT r."call?""#,
+            "WITH ITERATE go(x) AS (SELECT 0 UNION ALL SELECT go.x + 1 FROM go WHERE go.x < 9) SELECT go.x FROM go",
+            r#"WITH RETIRE go("call#", x) AS (SELECT inp."call#", 0 FROM "batch#f" AS inp UNION ALL SELECT go."call#", go.x + 1 FROM go WHERE go.x < 9) SELECT go."call#", go.x FROM go"#,
+            "WITH a AS (SELECT 1), b(y) AS (SELECT 2) SELECT * FROM a, b",
+            // set-operation chains and VALUES
+            "SELECT 1 UNION ALL SELECT 2 UNION SELECT 3 EXCEPT SELECT 4 INTERSECT ALL SELECT 5",
+            "VALUES (1, 'a'), (2, NULL)",
+            "SELECT * FROM (VALUES (1), (2)) AS v(a) ORDER BY v.a DESC NULLS LAST LIMIT 1 OFFSET 1",
+            // windows
+            "SELECT sum(t.x) OVER w, count(*) OVER (PARTITION BY t.a ORDER BY t.b) FROM t WINDOW w AS (ORDER BY t.y ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING)",
+            "SELECT DISTINCT t.a, t.* FROM t GROUP BY t.a, t.b HAVING count(*) > 1",
+        ] {
+            let q = parse_query(sql).unwrap();
+            assert_eq!(q.to_string(), sql);
+        }
+    }
+
+    #[test]
+    fn statements_print_exactly() {
+        for (sql, want) in [
+            (
+                "create table t (a int, \"B\" text)",
+                r#"CREATE TABLE t (a int, "B" text)"#,
+            ),
+            (
+                "CREATE TABLE IF NOT EXISTS t (a int)",
+                "CREATE TABLE IF NOT EXISTS t (a int)",
+            ),
+            ("CREATE INDEX i ON t (a)", "CREATE INDEX i ON t (a)"),
+            (
+                "CREATE INDEX i ON t USING hash (a)",
+                "CREATE INDEX i ON t USING hash (a)",
+            ),
+            (
+                r#"CREATE OR REPLACE FUNCTION "f*"(fn int, n int) RETURNS int AS $$ SELECT fn + n $$ LANGUAGE SQL"#,
+                r#"CREATE OR REPLACE FUNCTION "f*"(fn int, n int) RETURNS int AS $$ SELECT fn + n $$ LANGUAGE SQL"#,
+            ),
+            (
+                "CREATE FUNCTION f() RETURNS text AS $q$ SELECT '$$' $q$ LANGUAGE SQL",
+                "CREATE FUNCTION f() RETURNS text AS $q$ SELECT '$$' $q$ LANGUAGE SQL",
+            ),
+            (
+                "INSERT INTO t (a, b) VALUES (1, 'x'), (2, NULL)",
+                "INSERT INTO t (a, b) VALUES (1, 'x'), (2, NULL)",
+            ),
+            (
+                "INSERT INTO t SELECT * FROM s",
+                "INSERT INTO t SELECT * FROM s",
+            ),
+            (
+                "UPDATE t SET a = a + 1, b = 'y' WHERE b = 'x'",
+                "UPDATE t SET a = a + 1, b = 'y' WHERE b = 'x'",
+            ),
+            ("DELETE FROM t", "DELETE FROM t"),
+            ("DELETE FROM t WHERE a = 1", "DELETE FROM t WHERE a = 1"),
+            ("DROP TABLE IF EXISTS t", "DROP TABLE IF EXISTS t"),
+            ("DROP FUNCTION f", "DROP FUNCTION f"),
+            (
+                "EXPLAIN ANALYZE SELECT count(*) FROM t",
+                "EXPLAIN ANALYZE SELECT count(*) FROM t",
+            ),
+        ] {
+            assert_eq!(parse_statement(sql).unwrap().to_string(), want, "{sql}");
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! compiled function from the AST it already holds.
 //!
 //! The snapshots pin `Compiled::sql` and `Compiled::batch_sql` byte for
-//! byte: one file per paper kernel and mode, one per `extras` function, and
-//! one FNV-1a digest over seeded `genprog` programs in both modes. A pass
-//! rewrite that changes one byte of generated SQL fails here.
+//! byte: one file per paper kernel, mode and argument layout, one per
+//! `extras` function, and FNV-1a digests over seeded `genprog` programs in
+//! both modes (default options, the packed layout, and without the SSA
+//! simplifications). A pass rewrite that changes one byte of generated SQL
+//! fails here.
 //!
 //! To regenerate after an intentional change to the generated SQL:
 //!
@@ -44,6 +46,19 @@ fn modes() -> [(&'static str, CompileOptions); 2] {
         ("recursive", CompileOptions::default()),
         ("iterate", CompileOptions::iterate()),
     ]
+}
+
+/// [`modes`] with every other option taken from `base`.
+fn modes_with(base: CompileOptions) -> [(&'static str, CompileOptions); 2] {
+    modes().map(|(name, options)| {
+        (
+            name,
+            CompileOptions {
+                mode: options.mode,
+                ..base
+            },
+        )
+    })
 }
 
 /// `(name, source)` of the six paper kernels.
@@ -118,6 +133,19 @@ fn golden_compile_kernels() {
     }
 }
 
+/// The packed layout nests the arguments in one record, so its leaf rows
+/// and parameter pruning take a different path from the default's.
+#[test]
+fn golden_compile_kernels_packed() {
+    let s = fixture_session();
+    for (name, source) in kernels() {
+        for (mode, options) in modes_with(CompileOptions::packed()) {
+            let c = compile_or_panic(&s, name, &source, options);
+            assert_golden(&format!("compile_{name}_{mode}_packed.snap"), &snapshot(&c));
+        }
+    }
+}
+
 #[test]
 fn golden_compile_extras() {
     let s = fixture_session();
@@ -127,14 +155,15 @@ fn golden_compile_extras() {
     }
 }
 
-#[test]
-fn golden_compile_genprog_digest() {
+/// Digest `sql` and `batch_sql` of the seeded `genprog` programs, compiled
+/// in both modes with every other option taken from `base`, into `file`.
+fn assert_genprog_digest(file: &str, base: CompileOptions) {
     let s = fixture_session();
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut bytes = 0usize;
     for seed in 0..GENPROG_GOLDEN {
         let program = genprog::generate(seed, GenConfig::default());
-        for (_, options) in modes() {
+        for (_, options) in modes_with(base) {
             let c = compile_or_panic(&s, &program.name, &program.source, options);
             for text in [&c.sql, &c.batch_sql] {
                 fnv1a(&mut hash, text.as_bytes());
@@ -144,8 +173,29 @@ fn golden_compile_genprog_digest() {
         }
     }
     assert_golden(
-        "compile_genprog.snap",
+        file,
         &format!("programs {GENPROG_GOLDEN} x modes 2\nbytes {bytes}\nfnv1a64 {hash:016x}\n"),
+    );
+}
+
+#[test]
+fn golden_compile_genprog_digest() {
+    assert_genprog_digest("compile_genprog.snap", CompileOptions::default());
+}
+
+#[test]
+fn golden_compile_genprog_digest_packed() {
+    assert_genprog_digest("compile_genprog_packed.snap", CompileOptions::packed());
+}
+
+#[test]
+fn golden_compile_genprog_digest_unoptimized() {
+    assert_genprog_digest(
+        "compile_genprog_unoptimized.snap",
+        CompileOptions {
+            optimize: false,
+            ..Default::default()
+        },
     );
 }
 
@@ -183,6 +233,29 @@ fn compiled_sql_parses_back_to_the_compiled_query() {
             options.mode,
             c.batch_sql
         );
+    }
+}
+
+/// A plan `Compiled::prepare` or `prepare_batch` makes carries the compiled
+/// text it was cached under, byte for byte.
+#[test]
+fn prepared_plans_carry_the_compiled_text() {
+    for (name, source) in kernels() {
+        for (_, options) in modes()
+            .into_iter()
+            .chain(modes_with(CompileOptions::packed()))
+        {
+            let mut s = fixture_session();
+            let c = compile_or_panic(&s, name, &source, options);
+            let plan = c.prepare(&mut s).unwrap();
+            assert!(plan.sql == c.sql, "{name} ({options:?}): plan.sql");
+            let calls = vec![vec![Value::Null; c.param_names.len()]];
+            let plan = c.prepare_batch(&mut s, &calls).unwrap();
+            assert!(
+                plan.sql == c.batch_sql,
+                "{name} ({options:?}): batch plan.sql"
+            );
+        }
     }
 }
 
