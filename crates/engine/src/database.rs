@@ -60,12 +60,9 @@ pub struct Database {
     /// sessions. Entries are validated against the reader's snapshot at
     /// lookup time.
     plans: RwLock<HashMap<String, Arc<PreparedPlan>>>,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
-    plan_cache_evictions: AtomicU64,
-    /// Cross-session execution counters, folded in at statement boundaries
-    /// (see [`crate::metrics`]).
-    metrics: MetricsRegistry,
+    /// Engine counters: what sessions fold in at statement boundaries,
+    /// commits and plan-cache traffic (see [`crate::metrics`]).
+    pub(crate) registry: MetricsRegistry,
     /// Monotonic session-id source; ids tag trace events.
     next_session_id: AtomicU64,
     /// Buffered structured trace events (JSON lines), only written to when
@@ -81,10 +78,7 @@ impl Database {
             state: RwLock::new(Arc::new(Catalog::new())),
             writer: Mutex::new(()),
             plans: RwLock::new(HashMap::new()),
-            plan_cache_hits: AtomicU64::new(0),
-            plan_cache_misses: AtomicU64::new(0),
-            plan_cache_evictions: AtomicU64::new(0),
-            metrics: MetricsRegistry::default(),
+            registry: MetricsRegistry::default(),
             next_session_id: AtomicU64::new(1),
             trace: Mutex::new(Vec::new()),
             config,
@@ -113,7 +107,7 @@ impl Database {
         let mut next: Catalog = (*self.snapshot()).clone();
         let out = f(&mut next)?;
         *write_lock(&self.state) = Arc::new(next);
-        self.metrics.record_commit();
+        self.registry.commits.fetch_add(1, Ordering::Relaxed);
         Ok(out)
     }
 
@@ -129,8 +123,8 @@ impl Database {
             None => PlanLookup::Miss,
         };
         let counter = match found {
-            PlanLookup::Hit(_) => &self.plan_cache_hits,
-            _ => &self.plan_cache_misses,
+            PlanLookup::Hit(_) => &self.registry.plan_cache_hits,
+            _ => &self.registry.plan_cache_misses,
         };
         counter.fetch_add(1, Ordering::Relaxed);
         found
@@ -142,7 +136,9 @@ impl Database {
     pub fn cached_plan(&self, key: &str, catalog_version: u64) -> Option<Arc<PreparedPlan>> {
         let committed = self.snapshot();
         if committed.version != catalog_version {
-            self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+            self.registry
+                .plan_cache_misses
+                .fetch_add(1, Ordering::Relaxed);
             return None;
         }
         match self.lookup_plan(key, &committed) {
@@ -161,7 +157,8 @@ impl Database {
             if plans.len() >= PLAN_CACHE_CAP {
                 plans.clear();
             }
-            self.plan_cache_evictions
+            self.registry
+                .plan_cache_evictions
                 .fetch_add((before - plans.len()) as u64, Ordering::Relaxed);
         }
         plans.insert(key, plan);
@@ -169,11 +166,7 @@ impl Database {
 
     /// Cumulative shared plan-cache counters across all sessions.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.plan_cache_hits.load(Ordering::Relaxed),
-            misses: self.plan_cache_misses.load(Ordering::Relaxed),
-            evictions: self.plan_cache_evictions.load(Ordering::Relaxed),
-        }
+        self.metrics().plan_cache
     }
 
     /// Number of live entries in the shared plan cache.
@@ -182,17 +175,10 @@ impl Database {
     }
 
     /// Point-in-time view of the engine-wide metrics: the registry's
-    /// statement totals, the plan-cache counters, and the committed catalog
-    /// version. See [`MetricsSnapshot::to_json`] for the JSON form.
+    /// session totals, commit and plan-cache counters, and the committed
+    /// catalog version. See [`MetricsSnapshot::to_json`] for the JSON form.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics
-            .snapshot(self.plan_cache_stats(), self.snapshot().version)
-    }
-
-    /// Fold one finished statement into the shared registry (called by
-    /// sessions at statement boundaries).
-    pub(crate) fn record_statement(&self, ns: u64, delta: &crate::exec::RuntimeStats) {
-        self.metrics.record_statement(ns, delta);
+        self.registry.snapshot(self.snapshot().version)
     }
 
     /// Next session id (trace events are tagged with it).

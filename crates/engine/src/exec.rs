@@ -19,6 +19,7 @@ use crate::catalog::{Catalog, Row};
 use crate::config::EngineConfig;
 use crate::functions::{eval_scalar, like_match};
 use crate::ir::{AggFn, AggSpec, CtePlan, ExprIr, PlanNode, RecursionMode, SnapshotOp, SortKey};
+use crate::metrics::RuntimeStats;
 use crate::planner::{plan_udf_body, PreparedPlan};
 use crate::tuplestore::{BufferStats, SnapshotStore, Tuplestore};
 use crate::window::exec_window;
@@ -60,100 +61,6 @@ impl<'a> EvalEnv<'a> {
         EvalEnv {
             scopes: Some(scopes),
             params: self.params,
-        }
-    }
-}
-
-/// Execution counters (beyond buffer accounting).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RuntimeStats {
-    pub recursive_iterations: u64,
-    pub subplan_evals: u64,
-    pub udf_calls: u64,
-    pub rows_scanned: u64,
-    /// Index access-path probes (point lookups and range scans). Together
-    /// with `rows_scanned` this attributes the index win: a selective query
-    /// that probes shows `index_probes` up and `rows_scanned` bounded by
-    /// the matching rows instead of the table size.
-    pub index_probes: u64,
-    pub max_udf_depth: usize,
-    /// Row-loop snapshots materialized (one per compiled loop *entry* —
-    /// the counter the materialize-once tests assert on).
-    pub snapshots_materialized: u64,
-    /// Snapshots explicitly released (loop exit, EXIT/CONTINUE past the
-    /// loop, RETURN inside the loop, or exception unwind). On a normally
-    /// completed execution this equals `snapshots_materialized`.
-    pub snapshots_released: u64,
-    /// `ExecutorStart` penalties charged (top-level statements and
-    /// recursive SQL-UDF calls). A batched execution charges exactly one.
-    pub start_penalty_charges: u64,
-    /// `ExecutorEnd` penalties charged.
-    pub end_penalty_charges: u64,
-    /// Compiled expression-VM opcodes dispatched ([`crate::vm`]). Counted
-    /// on both success and error paths, so EXPLAIN ANALYZE deltas are
-    /// meaningful even when an expression raises.
-    pub vm_ops_executed: u64,
-    /// Rows driven through the fused fixpoint transition (the splat-program
-    /// fast path that bypasses the per-node executor).
-    pub fused_transition_rows: u64,
-    /// Batch-trampoline working-set counters (the `WITH RETIRE` driver).
-    pub batch: crate::profile::BatchCounters,
-    /// Tiered-execution counters (the `crate::tier` mono tier).
-    pub tier: crate::profile::TierCounters,
-}
-
-impl RuntimeStats {
-    pub fn reset(&mut self) {
-        *self = RuntimeStats::default();
-    }
-
-    /// Field-wise difference since a `before` copy (statement-boundary
-    /// metrics). Monotonic counters subtract saturating (a mid-interval
-    /// `reset` yields zeros, not wrap-around garbage); the gauges
-    /// (`max_udf_depth`, `batch_rows_in_flight`) carry the later value.
-    pub fn delta_since(&self, before: &RuntimeStats) -> RuntimeStats {
-        RuntimeStats {
-            recursive_iterations: self
-                .recursive_iterations
-                .saturating_sub(before.recursive_iterations),
-            subplan_evals: self.subplan_evals.saturating_sub(before.subplan_evals),
-            udf_calls: self.udf_calls.saturating_sub(before.udf_calls),
-            rows_scanned: self.rows_scanned.saturating_sub(before.rows_scanned),
-            index_probes: self.index_probes.saturating_sub(before.index_probes),
-            max_udf_depth: self.max_udf_depth,
-            snapshots_materialized: self
-                .snapshots_materialized
-                .saturating_sub(before.snapshots_materialized),
-            snapshots_released: self
-                .snapshots_released
-                .saturating_sub(before.snapshots_released),
-            start_penalty_charges: self
-                .start_penalty_charges
-                .saturating_sub(before.start_penalty_charges),
-            end_penalty_charges: self
-                .end_penalty_charges
-                .saturating_sub(before.end_penalty_charges),
-            vm_ops_executed: self.vm_ops_executed.saturating_sub(before.vm_ops_executed),
-            fused_transition_rows: self
-                .fused_transition_rows
-                .saturating_sub(before.fused_transition_rows),
-            batch: crate::profile::BatchCounters {
-                batch_rows_in_flight: self.batch.batch_rows_in_flight,
-                batch_rows_retired: self
-                    .batch
-                    .batch_rows_retired
-                    .saturating_sub(before.batch.batch_rows_retired),
-            },
-            tier: crate::profile::TierCounters {
-                tier_promotions: self
-                    .tier
-                    .tier_promotions
-                    .saturating_sub(before.tier.tier_promotions),
-                tier_mono_rows: self
-                    .tier
-                    .tier_mono_rows
-                    .saturating_sub(before.tier.tier_mono_rows),
-            },
         }
     }
 }
@@ -628,7 +535,7 @@ fn scalar_from_rows(rows: Vec<Row>) -> Result<Value> {
 fn call_sql_udf(name: &str, args: Vec<Value>, rt: &mut Runtime<'_>) -> Result<Value> {
     rt.stats.udf_calls += 1;
     rt.udf_depth += 1;
-    rt.stats.max_udf_depth = rt.stats.max_udf_depth.max(rt.udf_depth);
+    rt.stats.max_udf_depth = rt.stats.max_udf_depth.max(rt.udf_depth as u64);
     if rt.udf_depth > rt.config.max_udf_depth {
         rt.udf_depth -= 1;
         return Err(Error::exec(format!(
@@ -2228,7 +2135,10 @@ fn exec_recursive_cte(
                 };
                 match crate::tier::run_mono(prog, bound, &mut cx, &mut working, &mut keep)? {
                     crate::tier::MonoOutcome::Finished => return Ok(()),
-                    crate::tier::MonoOutcome::Demoted => gate.demote(),
+                    crate::tier::MonoOutcome::Demoted => {
+                        rt.stats.tier.tier_demotions += 1;
+                        gate.demote();
+                    }
                 }
             }
             begin_iteration(&mut iters, &mut peak, limit, mode, working.len())?;

@@ -40,12 +40,14 @@ pub use catalog::{
 };
 pub use config::{EngineConfig, IndexMode, TierMode};
 pub use database::{Database, PlanLookup};
-pub use exec::RuntimeStats;
 pub use explain::AnalyzeState;
 pub use ir::{ExprIr, PlanNode};
-pub use metrics::{LatencyHistogram, MetricsSnapshot, PlanCacheStats, SessionMetrics};
+pub use metrics::{
+    BatchCounters, LatencyHistogram, MetricsSnapshot, PlanCacheStats, RuntimeStats, SessionMetrics,
+    TierCounters,
+};
 pub use planner::{ParamScope, PreparedPlan};
-pub use profile::{BatchCounters, Phase, Profiler, TierCounters};
+pub use profile::{Phase, Profiler};
 pub use session::{QueryResult, Session};
 pub use tuplestore::{BufferStats, PAGE_SIZE, TUPLE_HEADER_BYTES};
 

@@ -12,7 +12,7 @@
 //! an execution.
 
 use crate::config::EngineConfig;
-use crate::exec::RuntimeStats;
+use crate::metrics::RuntimeStats;
 
 /// Busy-wait for approximately `ns` nanoseconds (profile cost injection).
 pub(crate) fn spin_ns(ns: u64) {

@@ -17,30 +17,6 @@ pub enum Phase {
     Interp,
 }
 
-/// Working-set counters for the batch trampoline (`WITH RETIRE`
-/// fixpoints): how many activations were in flight at the high-water mark,
-/// and how many were retired out of the working set into results. Embedded
-/// in [`crate::RuntimeStats`] next to the snapshot counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchCounters {
-    /// Peak number of in-flight activations across retire fixpoints.
-    pub batch_rows_in_flight: u64,
-    /// Total activations retired into results.
-    pub batch_rows_retired: u64,
-}
-
-/// Counters for the tiered-execution layer (`crate::tier`): how many
-/// fixpoint transitions were promoted from the VM to the monomorphized
-/// typed tier, and how many rows the mono tier drove. Embedded in
-/// [`crate::RuntimeStats`] next to the batch counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TierCounters {
-    /// Transitions promoted VM → mono (per promotion event, not per row).
-    pub tier_promotions: u64,
-    /// Rows executed through the monomorphized typed pipeline.
-    pub tier_mono_rows: u64,
-}
-
 /// Accumulated per-phase time and counts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Profiler {

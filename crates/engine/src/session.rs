@@ -26,10 +26,10 @@ use plaway_sql::ast::{InsertSource, Language, Stmt};
 use crate::catalog::{Catalog, Column, FunctionDef, IndexKind, Row};
 use crate::config::{EngineConfig, IndexMode, TierMode};
 use crate::database::{Database, PlanLookup};
-use crate::exec::{eval, exec, EvalEnv, FnPlanCache, Runtime, RuntimeStats, Scopes};
+use crate::exec::{eval, exec, EvalEnv, FnPlanCache, Runtime, Scopes};
 use crate::explain::AnalyzeState;
 use crate::ir::ExprIr;
-use crate::metrics::SessionMetrics;
+use crate::metrics::{RuntimeStats, SessionMetrics};
 use crate::planner::{
     plan_expr, plan_query, plan_query_as, plan_udf_body, ParamScope, PreparedPlan,
 };
@@ -256,8 +256,8 @@ impl Session {
     /// [`RuntimeStats`] set (scan/subplan/UDF/snapshot/penalty/batch
     /// counters), plan-cache hit/miss counts and the per-query phase
     /// attribution. `tests::reset_instrumentation_zeroes_every_counter`
-    /// pins this against the field lists, so a counter added to any of
-    /// these structs cannot silently survive a reset again.
+    /// pins this against the profiler and buffer field lists and the
+    /// counter table, so a new counter cannot silently survive a reset.
     pub fn reset_instrumentation(&mut self) {
         self.profiler.reset();
         self.buffers.reset();
@@ -913,9 +913,9 @@ impl Session {
     /// this session's mirror. `before` is the [`RuntimeStats`] copy taken
     /// at statement entry.
     fn record_statement(&mut self, ns: u64, before: &RuntimeStats) {
-        let delta = self.stats.delta_since(before);
-        self.metrics.record_statement(ns, &delta);
-        self.db.record_statement(ns, &delta);
+        let one = SessionMetrics::statement(ns, &self.stats.delta_since(before));
+        self.metrics.merge(&one);
+        self.db.registry.merge(&one);
     }
 
     /// Append one structured trace event (callers gate on `config.trace`).
@@ -1847,35 +1847,33 @@ mod tests {
         // plan-cache hit on top of the misses.
         s.run("SELECT dbl(a), (SELECT t.a) FROM t").unwrap();
         s.run("SELECT dbl(a), (SELECT t.a) FROM t").unwrap();
-        // Counters only the PL/pgSQL layers drive (compiled row-loop
-        // snapshots, the retire trampoline, interpreter time) are poked
-        // directly — this test is about the reset, not the sources.
+        // Interpreter time only the PL/pgSQL layer drives, and every
+        // runtime counter, are poked directly — this test is about the
+        // reset, not the sources. The runtime counters are walked off the
+        // counter table, so a new entry is covered without editing here.
         s.profiler
             .add(Phase::Interp, std::time::Duration::from_nanos(5));
-        s.stats.snapshots_materialized += 1;
-        s.stats.snapshots_released += 1;
-        s.stats.index_probes += 1;
-        s.stats.batch.batch_rows_in_flight += 1;
-        s.stats.batch.batch_rows_retired += 1;
-        s.stats.tier.tier_promotions += 1;
-        s.stats.tier.tier_mono_rows += 1;
+        for counter in s.stats.counters_mut() {
+            *counter += 1;
+        }
 
         // Sanity: every counter group is hot before the reset.
         assert!(s.profiler.exec_start_ns > 0 && s.profiler.start_count > 0);
         assert!(s.profiler.exec_run_ns > 0 && s.profiler.interp_ns > 0);
         assert!(s.buffers.page_writes > 0 && s.buffers.peak_bytes > 0);
-        assert!(s.stats.recursive_iterations > 0 && s.stats.rows_scanned > 0);
-        assert!(s.stats.udf_calls > 0 && s.stats.subplan_evals > 0);
-        assert!(s.stats.max_udf_depth > 0);
-        assert!(s.stats.start_penalty_charges > 0 && s.stats.end_penalty_charges > 0);
+        assert!(s.stats.recursive_iterations > 1 && s.stats.rows_scanned > 1);
+        assert!(s.stats.udf_calls > 1 && s.stats.subplan_evals > 1);
+        assert!(s.stats.max_udf_depth > 1);
+        assert!(s.stats.start_penalty_charges > 1 && s.stats.end_penalty_charges > 1);
         assert!(s.plan_cache_hits > 0 && s.plan_cache_misses > 0);
         assert!(!s.query_stats.is_empty());
 
         s.reset_instrumentation();
 
-        // Exhaustive `..`-free destructuring: adding a counter to any of
-        // these structs refuses to compile until this test (and with it
-        // the reset audit) is updated.
+        // Exhaustive `..`-free destructuring: adding a counter to either
+        // struct refuses to compile until this test (and with it the reset
+        // audit) is updated. `RuntimeStats` is generated whole from the
+        // counter table, so every field is one of the walked counters.
         let Profiler {
             exec_start_ns,
             exec_run_ns,
@@ -1896,41 +1894,7 @@ mod tests {
             peak_bytes,
         } = s.buffers;
         assert_eq!((page_writes, spilled_bytes, peak_bytes), (0, 0, 0));
-        let RuntimeStats {
-            recursive_iterations,
-            subplan_evals,
-            udf_calls,
-            rows_scanned,
-            index_probes,
-            max_udf_depth,
-            snapshots_materialized,
-            snapshots_released,
-            start_penalty_charges,
-            end_penalty_charges,
-            vm_ops_executed,
-            fused_transition_rows,
-            batch,
-            tier,
-        } = s.stats;
-        assert_eq!(
-            (recursive_iterations, subplan_evals, udf_calls, rows_scanned),
-            (0, 0, 0, 0)
-        );
-        assert_eq!(max_udf_depth, 0);
-        assert_eq!((snapshots_materialized, snapshots_released), (0, 0));
-        assert_eq!(index_probes, 0);
-        assert_eq!((start_penalty_charges, end_penalty_charges), (0, 0));
-        assert_eq!((vm_ops_executed, fused_transition_rows), (0, 0));
-        let crate::profile::BatchCounters {
-            batch_rows_in_flight,
-            batch_rows_retired,
-        } = batch;
-        assert_eq!((batch_rows_in_flight, batch_rows_retired), (0, 0));
-        let crate::profile::TierCounters {
-            tier_promotions,
-            tier_mono_rows,
-        } = tier;
-        assert_eq!((tier_promotions, tier_mono_rows), (0, 0));
+        assert_eq!(s.stats, RuntimeStats::default());
         assert_eq!((s.plan_cache_hits, s.plan_cache_misses), (0, 0));
         assert!(s.query_stats.is_empty());
     }
@@ -2050,12 +2014,13 @@ mod tests {
         s.run("SELECT sum(v) FROM m").unwrap();
         s.run("SELECT count(*) FROM m WHERE v > 1").unwrap();
         let snap = db.metrics();
-        assert_eq!(snap.statements, s.metrics.statements);
-        assert_eq!(snap.statement_ns_total, s.metrics.statement_ns_total);
-        assert_eq!(snap.rows_scanned, s.metrics.rows_scanned);
-        assert_eq!(snap.vm_ops_executed, s.metrics.vm_ops_executed);
-        assert_eq!(snap.latency.count(), s.metrics.latency.count());
-        assert!(snap.statements >= 4, "DDL, DML and queries all count");
+        // One session on its own database: the registry holds exactly its
+        // mirror, every counter and latency bucket.
+        assert_eq!(snap.sessions, s.metrics);
+        assert!(
+            snap.sessions.statements >= 4,
+            "DDL, DML and queries all count"
+        );
         assert_eq!(snap.commits, 2, "CREATE TABLE and INSERT each commit once");
         assert_eq!(snap.catalog_version, db.snapshot().version);
         // JSON round-trip straight off the live registry.

@@ -33,9 +33,10 @@ use plaway_sql::ast::BinOp;
 
 use crate::catalog::{Catalog, Index, Row};
 use crate::config::{EngineConfig, TierMode};
-use crate::exec::{begin_iteration, EvalEnv, Keep, RuntimeStats};
+use crate::exec::{begin_iteration, EvalEnv, Keep};
 use crate::functions::{eval_scalar, like_match};
 use crate::ir::{ExprIr, PlanNode, RecursionMode};
+use crate::metrics::RuntimeStats;
 use crate::vm::{chain_flattenable, chain_shape, plan_free_scopes};
 
 /// Let-chain register ceiling; compiled kernels use a handful of cells.

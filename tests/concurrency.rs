@@ -315,7 +315,7 @@ fn failed_insert_commits_nothing_across_sessions() {
 /// counted at the database commit point, not attributed to sessions.)
 #[test]
 fn racing_sessions_metrics_merge_exactly() {
-    use plsql_away::engine::metrics::LATENCY_BUCKETS;
+    use plsql_away::engine::metrics::{Kind, COUNTERS, LATENCY_BUCKETS};
     use plsql_away::engine::SessionMetrics;
 
     let (db, compiled) = fib_database();
@@ -353,18 +353,7 @@ fn racing_sessions_metrics_merge_exactly() {
 
     let mut sum = SessionMetrics::default();
     for m in &mirrors {
-        sum.statements += m.statements;
-        sum.statement_ns_total += m.statement_ns_total;
-        sum.snapshots_materialized += m.snapshots_materialized;
-        sum.snapshots_released += m.snapshots_released;
-        sum.batch_rows_retired += m.batch_rows_retired;
-        sum.udf_calls += m.udf_calls;
-        sum.rows_scanned += m.rows_scanned;
-        sum.index_probes += m.index_probes;
-        sum.recursive_iterations += m.recursive_iterations;
-        sum.vm_ops_executed += m.vm_ops_executed;
-        sum.tier_promotions += m.tier_promotions;
-        sum.latency.merge(&m.latency);
+        sum.merge(m);
     }
     assert_eq!(
         sum.statements,
@@ -377,64 +366,26 @@ fn racing_sessions_metrics_merge_exactly() {
     assert!(sum.recursive_iterations > 0);
     assert!(sum.vm_ops_executed > 0 || sum.tier_promotions > 0);
 
-    let merged = [
-        (
-            "statements",
-            after.statements - base.statements,
-            sum.statements,
-        ),
-        (
-            "statement_ns_total",
-            after.statement_ns_total - base.statement_ns_total,
-            sum.statement_ns_total,
-        ),
-        (
-            "snapshots_materialized",
-            after.snapshots_materialized - base.snapshots_materialized,
-            sum.snapshots_materialized,
-        ),
-        (
-            "snapshots_released",
-            after.snapshots_released - base.snapshots_released,
-            sum.snapshots_released,
-        ),
-        (
-            "batch_rows_retired",
-            after.batch_rows_retired - base.batch_rows_retired,
-            sum.batch_rows_retired,
-        ),
-        ("udf_calls", after.udf_calls - base.udf_calls, sum.udf_calls),
-        (
-            "rows_scanned",
-            after.rows_scanned - base.rows_scanned,
-            sum.rows_scanned,
-        ),
-        (
-            "index_probes",
-            after.index_probes - base.index_probes,
-            sum.index_probes,
-        ),
-        (
-            "recursive_iterations",
-            after.recursive_iterations - base.recursive_iterations,
-            sum.recursive_iterations,
-        ),
-        (
-            "vm_ops_executed",
-            after.vm_ops_executed - base.vm_ops_executed,
-            sum.vm_ops_executed,
-        ),
-        (
-            "tier_promotions",
-            after.tier_promotions - base.tier_promotions,
-            sum.tier_promotions,
-        ),
-    ];
-    for (field, registry, mirror) in merged {
-        assert_eq!(
-            registry, mirror,
-            "registry {field} diverged from the summed session mirrors"
-        );
+    // Every entry of the counter table: a sum must match the registry's
+    // delta exactly; a peak (a high-water mark, merged by max) can only
+    // be at most the registry's later value.
+    let (base, after) = (base.sessions, after.sessions);
+    let (before, now, mirrored) = (base.counters(), after.counters(), sum.counters());
+    for (i, c) in COUNTERS.iter().enumerate() {
+        let registry = c.kind.delta(now[i], before[i]);
+        match c.kind {
+            Kind::Sum => assert_eq!(
+                registry, mirrored[i],
+                "registry {} diverged from the summed session mirrors",
+                c.name
+            ),
+            Kind::Peak => assert!(
+                mirrored[i] <= registry,
+                "session peak {} = {} exceeds the registry's {registry}",
+                c.name,
+                mirrored[i]
+            ),
+        }
     }
     for i in 0..LATENCY_BUCKETS {
         assert_eq!(

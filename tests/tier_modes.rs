@@ -195,7 +195,8 @@ fn null_and_float_rows_match_the_vm_bit_for_bit() {
           END LOOP;
           RETURN cast(acc AS int);
         END $$ LANGUAGE plpgsql";
-    for (source, name) in [(NULLY, "nully"), (FLOATY, "floaty")] {
+    // Only the float row leaves the typed domain, so only `floaty` demotes.
+    for (source, name, demotes) in [(NULLY, "nully", false), (FLOATY, "floaty", true)] {
         let mut reference: Option<String> = None;
         for mode in MODES {
             let mut session = session_with_tier(mode);
@@ -217,6 +218,14 @@ fn null_and_float_rows_match_the_vm_bit_for_bit() {
             match &reference {
                 None => reference = Some(rendering),
                 Some(want) => assert_eq!(&rendering, want, "{name}: {mode:?} diverged"),
+            }
+            let demotions = session.metrics.tier_demotions;
+            match mode {
+                TierMode::ForceOff => assert_eq!(demotions, 0, "{name}: ForceOff never demotes"),
+                TierMode::ForceOn => {
+                    assert_eq!(demotions > 0, demotes, "{name}: ForceOn demotions")
+                }
+                TierMode::Auto => {}
             }
         }
     }
