@@ -8,94 +8,96 @@
 //!
 //! Usage: `cargo run --release -p plaway-bench --bin ablation [-- udf]`
 
-use std::time::Instant;
+use std::cell::RefCell;
 
+use plaway_bench::measure::{case, measure, Case};
 use plaway_bench::*;
 use plaway_common::Value;
 use plaway_core::{ArgsLayout, CompileOptions, CteMode};
 use plaway_engine::{EngineConfig, TierMode};
 
-fn time_ms(f: impl FnMut()) -> f64 {
-    let mut f = f;
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64() * 1e3
+const WARMUP_ROUNDS: usize = 1;
+const ROUNDS: usize = 3;
+
+/// Median ms of each case, all sampled in the same interleaved rounds.
+fn median_ms(cases: &mut [Case]) -> Vec<f64> {
+    measure(cases, WARMUP_ROUNDS, ROUNDS)
+        .expect("ablation case")
+        .iter()
+        .map(|s| s.median / 1e6)
+        .collect()
 }
 
 fn main() {
     let only_udf = std::env::args().any(|a| a == "udf");
     let steps = 2_000i64;
-    let runs = 3;
 
     // ---- mode ablation on walk -----------------------------------------
-    let mut b = setup_walk(EngineConfig::postgres_like());
+    let b = RefCell::new(setup_walk(EngineConfig::postgres_like()));
     let args = walk_args(steps);
-    let rec = b.compile(CompileOptions::default()).unwrap();
-    let iter = b.compile(CompileOptions::iterate()).unwrap();
-    let packed = b.compile(CompileOptions::packed()).unwrap();
-    let raw = b
-        .compile(CompileOptions {
-            optimize: false,
-            ..Default::default()
-        })
-        .unwrap();
+    let compile = |options| b.borrow().compile(options).unwrap();
+    let rec = compile(CompileOptions::default());
+    let iter = compile(CompileOptions::iterate());
+    let packed = compile(CompileOptions::packed());
+    let raw = compile(CompileOptions {
+        optimize: false,
+        ..Default::default()
+    });
 
-    println!("ablation: walk(), {steps} steps, avg of {runs} runs (postgres profile)\n");
-
-    let report = |name: &str, ms: f64, baseline: f64| {
-        if baseline > 0.0 {
-            println!(
-                "{name:<34} {ms:>9.1} ms   ({:>4.0}% of interpreter)",
-                ms / baseline * 100.0
-            );
-        } else {
-            println!("{name:<34} {ms:>9.1} ms   (baseline)");
-        }
-    };
-
-    b.session.set_seed(1);
-    b.run_interp(&args).unwrap();
-    b.session.set_seed(1);
-    let interp_ms = {
-        let samples = b.time_interp(&args, runs).unwrap();
-        stats_ms(&samples).0
-    };
-    let baseline = interp_ms;
-    report("PL/pgSQL interpreter", interp_ms, 0.0);
+    println!("ablation: walk(), {steps} steps, median of {ROUNDS} interleaved rounds (postgres profile)\n");
 
     // Recursive SQL UDF (Figure 7): pays Start/End per recursive call and
     // runs against the engine's call-depth limit, so measure fewer steps
     // and scale. The paper: "the direct evaluation of these UDFs has
-    // disappointing performance characteristics".
+    // disappointing performance characteristics". The UDFs replace the
+    // PL/pgSQL `walk`, so they get a session of their own.
     let udf_steps = 300i64;
-    b.session.config.max_udf_depth = 2_000;
-    rec.install_udfs(&mut b.session).unwrap();
+    let mut udf = setup_walk(EngineConfig::postgres_like());
+    udf.session.config.max_udf_depth = 2_000;
+    rec.install_udfs(&mut udf.session).unwrap();
     let call = format!("SELECT walk(ROW(2, 2), 1000000, -1000000, {udf_steps})");
-    b.session.set_seed(1);
-    b.session.run(&call).unwrap();
-    b.session.set_seed(1);
-    let udf_ms = time_ms(|| {
-        for _ in 0..runs {
-            b.session.run(&call).unwrap();
-        }
-    }) / runs as f64;
-    let udf_scaled = udf_ms * (steps as f64 / udf_steps as f64);
-    report(
-        &format!("recursive SQL UDF (scaled from {udf_steps})"),
-        udf_scaled,
-        baseline,
-    );
 
+    // Every call starts from seed 1, so every mode walks the same path.
+    let mut cases = vec![
+        case("PL/pgSQL interpreter", || {
+            let mut b = b.borrow_mut();
+            b.session.set_seed(1);
+            b.run_interp(&args).map(drop)
+        }),
+        case(
+            format!("recursive SQL UDF (scaled from {udf_steps})"),
+            || {
+                udf.session.set_seed(1);
+                udf.session.run(&call).map(drop)
+            },
+        ),
+    ];
     for (name, compiled) in [
         ("WITH RECURSIVE (flattened args)", &rec),
         ("WITH ITERATE (flattened args)", &iter),
         ("WITH RECURSIVE (packed ROW args)", &packed),
         ("WITH RECURSIVE (unoptimized SSA)", &raw),
     ] {
-        b.session.set_seed(1);
-        let samples = b.time_compiled(compiled, &args, runs).unwrap();
-        report(name, stats_ms(&samples).0, baseline);
+        let plan = compiled.prepare(&mut b.borrow_mut().session).unwrap();
+        let (b, args) = (&b, &args);
+        cases.push(case(name, move || {
+            let mut b = b.borrow_mut();
+            b.session.set_seed(1);
+            b.session.execute_prepared(&plan, args.clone()).map(drop)
+        }));
     }
+    let mut ms = median_ms(&mut cases);
+    ms[1] *= steps as f64 / udf_steps as f64;
+    let baseline = ms[0];
+    println!("{:<34} {baseline:>9.1} ms   (baseline)", cases[0].name);
+    for (case, ms) in cases.iter().zip(&ms).skip(1) {
+        println!(
+            "{:<34} {ms:>9.1} ms   ({:>4.0}% of interpreter)",
+            case.name,
+            ms / baseline * 100.0
+        );
+    }
+    drop(cases);
 
     if only_udf {
         return;
@@ -103,21 +105,21 @@ fn main() {
 
     // ---- stack depth limit (the §2 claim) -------------------------------
     println!("\nrecursive SQL UDF vs the engine's stack depth limit:");
-    b.session.config.max_udf_depth = 256; // back to the default
+    udf.session.config.max_udf_depth = 256; // back to the default
     let deep_call = "SELECT walk(ROW(2, 2), 1000000, -1000000, 5000)";
-    match b.session.run(deep_call) {
+    match udf.session.run(deep_call) {
         Err(e) => println!("  5000 steps via UDF: {e}"),
         Ok(_) => println!("  5000 steps via UDF: unexpectedly succeeded"),
     }
-    b.session.set_seed(1);
-    let v = rec.run(&mut b.session, &walk_args(5_000)).unwrap();
+    udf.session.set_seed(1);
+    let v = rec.run(&mut udf.session, &walk_args(5_000)).unwrap();
     println!("  5000 steps via WITH RECURSIVE: ok (result {v})");
 
     // ---- layout ablation on parse ---------------------------------------
     println!("\nablation: parse(), argument layouts (2000-char input):");
     let mut b = setup_parse(EngineConfig::postgres_like());
     let args = parse_args(2_000);
-    for (name, options) in [
+    let layouts = [
         ("flattened columns", CompileOptions::default()),
         ("packed ROW column", CompileOptions::packed()),
         (
@@ -128,11 +130,31 @@ fn main() {
                 ..Default::default()
             },
         ),
-    ] {
-        let compiled = b.compile(options).unwrap();
-        let samples = b.time_compiled(&compiled, &args, runs).unwrap();
-        println!("  {name:<28} {:>9.1} ms", stats_ms(&samples).0);
+    ];
+    let plans: Vec<_> = layouts
+        .iter()
+        .map(|(_, options)| {
+            let compiled = b.compile(*options).unwrap();
+            compiled.prepare(&mut b.session).unwrap()
+        })
+        .collect();
+    let b = RefCell::new(b);
+    let mut cases: Vec<Case> = layouts
+        .iter()
+        .zip(&plans)
+        .map(|((name, _), plan)| {
+            case(*name, || {
+                b.borrow_mut()
+                    .session
+                    .execute_prepared(plan, args.clone())
+                    .map(drop)
+            })
+        })
+        .collect();
+    for ((name, _), ms) in layouts.iter().zip(median_ms(&mut cases)) {
+        println!("  {name:<28} {ms:>9.1} ms");
     }
+    drop(cases);
 
     // ---- batch trampoline working set ------------------------------------
     // One WITH RETIRE fixpoint drives every call; the counters show the
@@ -141,10 +163,11 @@ fn main() {
     let mut b = setup_fib(EngineConfig::postgres_like());
     let compiled = b.compile(CompileOptions::iterate()).unwrap();
     let calls = batch_fib_calls(100_000);
-    b.session.stats.batch = Default::default();
-    let ms = time_ms(|| {
-        compiled.run_batch(&mut b.session, &calls).unwrap();
-    });
+    // Counters are reset before every call, so they describe one call.
+    let ms = median_ms(&mut [case("batch", || {
+        b.session.stats.batch = Default::default();
+        compiled.run_batch(&mut b.session, &calls).map(drop)
+    })])[0];
     let counters = b.session.stats.batch;
     println!(
         "  wall clock                   {ms:>9.1} ms   ({:.0} calls/sec)",
@@ -172,11 +195,9 @@ fn main() {
         ("parse(150)", setup_parse, parse_args(150)),
     ];
     for (name, setup, args) in tier_cases {
-        let mut per_iter = [0u128; 2];
-        for (t, mode) in [TierMode::ForceOff, TierMode::ForceOn]
-            .into_iter()
-            .enumerate()
-        {
+        let mut iters = Vec::new();
+        let mut cases = Vec::new();
+        for mode in [TierMode::ForceOff, TierMode::ForceOn] {
             let mut config = EngineConfig::postgres_like();
             config.tier_mode = mode;
             let mut b = setup(config);
@@ -185,21 +206,20 @@ fn main() {
             b.session.set_seed(1);
             let before = b.session.stats.recursive_iterations;
             b.session.execute_prepared(&plan, args.clone()).unwrap();
-            let iters = ((b.session.stats.recursive_iterations - before) as u128).max(1);
-            let mut best = u128::MAX;
-            for _ in 0..5 {
+            iters.push(((b.session.stats.recursive_iterations - before) as f64).max(1.0));
+            let args = args.clone();
+            cases.push(case(format!("{mode:?}"), move || {
                 b.session.set_seed(1);
-                let t0 = Instant::now();
-                b.session.execute_prepared(&plan, args.clone()).unwrap();
-                best = best.min(t0.elapsed().as_nanos());
-            }
-            per_iter[t] = best / iters;
+                b.session.execute_prepared(&plan, args.clone()).map(drop)
+            }));
         }
+        let ms = median_ms(&mut cases);
+        let per_iter: Vec<f64> = ms.iter().zip(&iters).map(|(ms, n)| ms * 1e6 / n).collect();
         println!(
-            "  {name:<28} vm {:>6} ns/iter   mono {:>6} ns/iter   ({:.1}x)",
+            "  {name:<28} vm {:>6.0} ns/iter   mono {:>6.0} ns/iter   ({:.1}x)",
             per_iter[0],
             per_iter[1],
-            per_iter[0] as f64 / per_iter[1] as f64
+            per_iter[0] / per_iter[1]
         );
     }
 }

@@ -298,6 +298,36 @@ fn check_serve(fresh: &BTreeMap<String, u128>) -> Vec<String> {
     failures
 }
 
+/// The unit of a key, by family — the split `scripts/bench_diff.sh`
+/// makes: every non-`serve.` key is ns; among `serve.*` keys the `_ns`
+/// latencies are ns, `rps_*` are requests/second, `_x100` ratios are ×100
+/// and the rest are counts (no unit).
+fn unit(key: &str) -> &'static str {
+    if !key.starts_with("serve.") || key.ends_with("_ns") {
+        " ns"
+    } else if key.contains(".rps_") {
+        " req/s"
+    } else if key.ends_with("_x100") {
+        " (x100)"
+    } else {
+        ""
+    }
+}
+
+/// One line of the fresh-vs-baseline listing; the relative delta reads
+/// `n/a` when the baseline is 0.
+fn delta_line(key: &str, base: Option<u128>, now: u128) -> String {
+    let unit = unit(key);
+    match base {
+        None => format!("{key}: {now}{unit} (new, no baseline)"),
+        Some(0) => format!("{key}: 0 -> {now}{unit} (n/a)"),
+        Some(base) => {
+            let delta = now as f64 / base as f64 - 1.0;
+            format!("{key}: {base} -> {now}{unit} ({:+.1}%)", delta * 100.0)
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let (baseline_path, fresh_path) = match (args.get(1), args.get(2)) {
@@ -333,13 +363,7 @@ fn main() -> ExitCode {
     };
 
     for (key, &now) in &fresh {
-        match baseline.get(key) {
-            Some(&base) => {
-                let delta = now as f64 / base as f64 - 1.0;
-                println!("{key}: {base} -> {now} ns ({:+.1}%)", delta * 100.0);
-            }
-            None => println!("{key}: {now} ns (new, no baseline)"),
-        }
+        println!("{}", delta_line(key, baseline.get(key).copied(), now));
     }
 
     let failures = check(&baseline, &fresh, tolerance_pct);
@@ -429,6 +453,30 @@ mod tests {
             m.entry(k.to_string()).or_insert(v);
         }
         m
+    }
+
+    #[test]
+    fn delta_lines_carry_the_key_familys_unit() {
+        assert_eq!(
+            delta_line("fsa.with_iterate", Some(200), 150),
+            "fsa.with_iterate: 200 -> 150 ns (-25.0%)"
+        );
+        assert_eq!(
+            delta_line("serve.read.rps_4t", Some(5000), 10000),
+            "serve.read.rps_4t: 5000 -> 10000 req/s (+100.0%)"
+        );
+        assert_eq!(
+            delta_line("serve.read.p99_ns", None, 7),
+            "serve.read.p99_ns: 7 ns (new, no baseline)"
+        );
+        assert_eq!(
+            delta_line("serve.read.scaling_x100", Some(100), 103),
+            "serve.read.scaling_x100: 100 -> 103 (x100) (+3.0%)"
+        );
+        assert_eq!(
+            delta_line("serve.cache.evictions", Some(0), 0),
+            "serve.cache.evictions: 0 -> 0 (n/a)"
+        );
     }
 
     #[test]

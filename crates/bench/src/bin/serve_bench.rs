@@ -5,11 +5,13 @@
 //!
 //! Two phases:
 //!
-//! * **read scaling** — scalar-only requests at 1 and 4 threads over an
-//!   unchanging catalog (every prepared plan stays valid, the shared plan
-//!   cache serves all sessions). The headline number is
-//!   `serve.read.scaling_x100` = 100 × rps(4t) / rps(1t); the bench gate
-//!   enforces ≥ 2.5× on runners with ≥ 4 hardware threads.
+//! * **read scaling** — scalar-only requests over an unchanging catalog
+//!   (every prepared plan stays valid, the shared plan cache serves all
+//!   sessions), as alternating 1-thread / 4-thread bursts in the rounds of
+//!   [`measure`], so both sides of the ratio share the machine's state.
+//!   The headline number is `serve.read.scaling_x100` = 100 × median
+//!   rps(4t) / median rps(1t); the bench gate enforces ≥ 2.5× on runners
+//!   with ≥ 4 hardware threads.
 //! * **mixed** — 4 reader threads (scalar calls through plans prepared
 //!   once per session, every 8th request a batch-mode `fibonacci` over a
 //!   worker-private staging table) racing one writer that churns the
@@ -42,56 +44,71 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use plaway_bench::measure::{case, measure};
 use plaway_bench::{batch_fib_calls, serve_batch_fib, setup_serve, ServeKernel};
-use plaway_engine::{Database, EngineConfig};
+use plaway_engine::{Database, EngineConfig, PreparedPlan, Session};
 use plaway_workloads::fib;
 
-/// Requests per reader thread per phase.
+/// Requests per reader thread in the mixed phase; a read-scaling burst is
+/// a quarter of it.
 const READS_FULL: usize = 400;
 const READS_SMOKE: usize = 100;
+/// Untimed and timed rounds of the read-scaling bursts.
+const READ_WARMUP: usize = 1;
+const READ_ROUNDS: usize = 9;
 /// Rows per batch-mode call in the mixed phase.
 const BATCH_ROWS: usize = 64;
 /// Reader threads in the scaled phases.
 const THREADS: usize = 4;
 
-/// One reader's measurement: per-request latencies plus its wall time.
-struct ThreadRun {
-    latencies_ns: Vec<u128>,
-    elapsed: Duration,
+/// A serving session with every kernel's plan prepared once: a serving
+/// session keeps its statements prepared; it does not re-plan an
+/// unchanged query per request.
+struct Reader {
+    session: Session,
+    plans: Vec<Arc<PreparedPlan>>,
 }
 
-/// Run `requests` scalar calls round-robin over the kernels, verifying
-/// every deterministic result. Panics (failing the bench) on any wrong
-/// answer — a serving engine that returns garbage fast is not fast.
-fn read_loop(db: &Arc<Database>, kernels: &[ServeKernel], requests: usize) -> ThreadRun {
-    let mut session = db.session();
-    let plans: Vec<_> = kernels
-        .iter()
-        .map(|k| k.compiled.prepare(&mut session).expect(k.name))
-        .collect();
-    let mut latencies_ns = Vec::with_capacity(requests);
-    let t0 = Instant::now();
-    for r in 0..requests {
+impl Reader {
+    fn new(db: &Arc<Database>, kernels: &[ServeKernel]) -> Reader {
+        let mut session = db.session();
+        let plans = kernels
+            .iter()
+            .map(|k| k.compiled.prepare(&mut session).expect(k.name))
+            .collect();
+        Reader { session, plans }
+    }
+
+    /// Run request `r`, a scalar call of kernel `r % kernels.len()`, and
+    /// verify a deterministic result. Panics (failing the bench) on any
+    /// wrong answer — a serving engine that returns garbage fast is not
+    /// fast.
+    fn call(&mut self, kernels: &[ServeKernel], r: usize, latencies_ns: &mut Vec<u128>) {
         let k = &kernels[r % kernels.len()];
         let q0 = Instant::now();
-        let got = session
-            .execute_prepared(&plans[r % kernels.len()], k.args.clone())
+        let got = self
+            .session
+            .execute_prepared(&self.plans[r % kernels.len()], k.args.clone())
             .expect(k.name);
         latencies_ns.push(q0.elapsed().as_nanos());
         if let Some(want) = &k.expected {
             assert_eq!(&got.rows[0][0], want, "{} returned a wrong answer", k.name);
         }
     }
-    ThreadRun {
-        latencies_ns,
-        elapsed: t0.elapsed(),
+
+    /// `requests` scalar calls round-robin over the kernels.
+    fn read(&mut self, kernels: &[ServeKernel], requests: usize) -> Vec<u128> {
+        let mut latencies_ns = Vec::with_capacity(requests);
+        for r in 0..requests {
+            self.call(kernels, r, &mut latencies_ns);
+        }
+        latencies_ns
     }
 }
 
-/// A mixed-phase reader: scalar calls through plans prepared *once* per
-/// session (a serving session keeps its statements prepared; it does not
-/// re-plan an unchanged query per request), with every 8th request a
-/// batch-mode fibonacci staged through this worker's private
+/// A mixed-phase reader: scalar calls through a [`Reader`]'s plans, with
+/// every 8th request a batch-mode fibonacci staged through this worker's
+/// private
 /// `batch#fib_w<id>` table. The batch path commits to the table its plan
 /// reads, so it re-plans through the shared cache on every batch — that
 /// is where the re-planning cost of this phase is measured, not in the
@@ -101,12 +118,8 @@ fn mixed_loop(
     kernels: &[ServeKernel],
     worker: usize,
     requests: usize,
-) -> ThreadRun {
-    let mut session = db.session();
-    let plans: Vec<_> = kernels
-        .iter()
-        .map(|k| k.compiled.prepare(&mut session).expect(k.name))
-        .collect();
+) -> Vec<u128> {
+    let mut reader = Reader::new(db, kernels);
     let batch = serve_batch_fib(db, worker);
     let calls = batch_fib_calls(BATCH_ROWS);
     let batch_expected: Vec<_> = calls
@@ -114,28 +127,19 @@ fn mixed_loop(
         .map(|args| plaway_common::Value::Int(fib::fib_reference(args[0].as_int().unwrap())))
         .collect();
     let mut latencies_ns = Vec::with_capacity(requests);
-    let t0 = Instant::now();
     for r in 0..requests {
-        let q0 = Instant::now();
         if r % 8 == 7 {
-            let got = batch.run_batch(&mut session, &calls).expect("batch fib");
+            let q0 = Instant::now();
+            let got = batch
+                .run_batch(&mut reader.session, &calls)
+                .expect("batch fib");
             latencies_ns.push(q0.elapsed().as_nanos());
             assert_eq!(got, batch_expected, "batch fib returned wrong answers");
         } else {
-            let k = &kernels[r % kernels.len()];
-            let got = session
-                .execute_prepared(&plans[r % kernels.len()], k.args.clone())
-                .expect(k.name);
-            latencies_ns.push(q0.elapsed().as_nanos());
-            if let Some(want) = &k.expected {
-                assert_eq!(&got.rows[0][0], want, "{} returned a wrong answer", k.name);
-            }
+            reader.call(kernels, r, &mut latencies_ns);
         }
     }
-    ThreadRun {
-        latencies_ns,
-        elapsed: t0.elapsed(),
-    }
+    latencies_ns
 }
 
 /// The churn writer: redefines a noise function and rewrites the `churn`
@@ -170,13 +174,15 @@ fn churn_writer(db: &Arc<Database>, stop: &AtomicBool) -> u64 {
     commits
 }
 
-/// Fan `THREADS` copies of `f` out, synchronized on a barrier, and merge
-/// their runs. Aggregate rps divides total requests by the *slowest*
-/// thread's wall time — the honest number for "all threads done".
-fn fan_out(threads: usize, f: impl Fn(usize) -> ThreadRun + Sync) -> (u128, Vec<u128>) {
-    let barrier = Barrier::new(threads);
-    let runs: Vec<ThreadRun> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+/// Run `f` on every worker, one thread each, synchronized on a barrier,
+/// and merge their per-request latencies, sorted. The call returns when
+/// the slowest thread is done, so a timed `fan_out` is the honest wall
+/// time for "all threads done".
+fn fan_out<W: Send>(workers: &mut [W], f: impl Fn(&mut W) -> Vec<u128> + Sync) -> Vec<u128> {
+    let barrier = Barrier::new(workers.len());
+    let runs: Vec<Vec<u128>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .iter_mut()
             .map(|w| {
                 let barrier = &barrier;
                 let f = &f;
@@ -188,12 +194,9 @@ fn fan_out(threads: usize, f: impl Fn(usize) -> ThreadRun + Sync) -> (u128, Vec<
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let total: usize = runs.iter().map(|r| r.latencies_ns.len()).sum();
-    let slowest = runs.iter().map(|r| r.elapsed).max().unwrap();
-    let rps = (total as f64 / slowest.as_secs_f64()) as u128;
-    let mut latencies: Vec<u128> = runs.into_iter().flat_map(|r| r.latencies_ns).collect();
+    let mut latencies: Vec<u128> = runs.into_iter().flatten().collect();
     latencies.sort_unstable();
-    (rps, latencies)
+    latencies
 }
 
 /// Nearest-rank percentile over a sorted sample.
@@ -224,7 +227,8 @@ fn trace_attribution(requests: usize) {
         ..EngineConfig::postgres_like()
     };
     let (db, kernels) = setup_serve(config);
-    fan_out(THREADS, |_| read_loop(&db, &kernels, requests));
+    let mut readers: Vec<Reader> = (0..THREADS).map(|_| Reader::new(&db, &kernels)).collect();
+    fan_out(&mut readers, |r| r.read(&kernels, requests));
     let lines = db.take_trace();
     let mut per_session: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     for line in &lines {
@@ -294,10 +298,39 @@ fn main() {
     }
     let cache_before = db.plan_cache_stats();
 
-    // Phase 1: read scaling, scalar-only, catalog untouched.
-    let (rps_1t, _) = fan_out(1, |_| read_loop(&db, &kernels, requests));
-    let (rps_4t, lat_4t) = fan_out(THREADS, |_| read_loop(&db, &kernels, requests));
-    eprintln!("read: {rps_1t} req/s at 1 thread, {rps_4t} req/s at {THREADS} threads");
+    // Phase 1: read scaling, scalar-only, catalog untouched. Each reader
+    // session prepares its plans once, here, through the warmed cache; the
+    // tail percentiles pool the timed 4-thread bursts.
+    let mut readers: Vec<Reader> = (0..=THREADS).map(|_| Reader::new(&db, &kernels)).collect();
+    let (one, four) = readers.split_at_mut(1);
+    let burst = requests / 4;
+    let mut bursts_4t = Vec::new();
+    let spreads = measure(
+        &mut [
+            case("read 1t", || {
+                fan_out(one, |r| r.read(&kernels, burst));
+                Ok(())
+            }),
+            case("read 4t", || {
+                bursts_4t.push(fan_out(four, |r| r.read(&kernels, burst)));
+                Ok(())
+            }),
+        ],
+        READ_WARMUP,
+        READ_ROUNDS,
+    )
+    .expect("read bursts");
+    let rps = |threads: usize, ns: f64| ((threads * burst) as f64 * 1e9 / ns) as u128;
+    let (rps_1t, rps_4t) = (rps(1, spreads[0].median), rps(THREADS, spreads[1].median));
+    let mut lat_4t: Vec<u128> = bursts_4t.into_iter().skip(READ_WARMUP).flatten().collect();
+    lat_4t.sort_unstable();
+    eprintln!(
+        "read: {rps_1t} req/s at 1 thread [IQR {}..{}], {rps_4t} req/s at {THREADS} threads [IQR {}..{}], median of {READ_ROUNDS} alternating bursts",
+        rps(1, spreads[0].q3),
+        rps(1, spreads[0].q1),
+        rps(THREADS, spreads[1].q3),
+        rps(THREADS, spreads[1].q1),
+    );
     results.insert("serve.read.rps_1t".into(), rps_1t);
     results.insert("serve.read.rps_4t".into(), rps_4t);
     results.insert(
@@ -320,15 +353,25 @@ fn main() {
     eprintln!("read-phase plan cache: {warm_hits} hits, {warm_misses} misses ({warm_rate}% warm)");
     results.insert("serve.cache.warm_hit_rate_x100".into(), warm_rate as u128);
 
-    // Phase 2: mixed load under catalog churn.
-    let stop = AtomicBool::new(false);
-    let (rps_mixed, lat_mixed, commits) = std::thread::scope(|scope| {
-        let writer = scope.spawn(|| churn_writer(&db, &stop));
-        let out = fan_out(THREADS, |w| mixed_loop(&db, &kernels, w, requests));
-        stop.store(true, Ordering::Relaxed);
-        let commits = writer.join().unwrap();
-        (out.0, out.1, commits)
-    });
+    // Phase 2: mixed load under catalog churn, one timed run.
+    let (mut lat_mixed, mut commits) = (Vec::new(), 0);
+    let mixed = measure(
+        &mut [case("mixed", || {
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                let writer = scope.spawn(|| churn_writer(&db, &stop));
+                let mut workers: Vec<usize> = (0..THREADS).collect();
+                lat_mixed = fan_out(&mut workers, |w| mixed_loop(&db, &kernels, *w, requests));
+                stop.store(true, Ordering::Relaxed);
+                commits = writer.join().unwrap();
+            });
+            Ok(())
+        })],
+        0,
+        1,
+    )
+    .expect("mixed phase");
+    let rps_mixed = ((THREADS * requests) as f64 * 1e9 / mixed[0].median) as u128;
     eprintln!("mixed: {rps_mixed} req/s at {THREADS} threads, {commits} writer commits");
     results.insert("serve.mixed.rps_4t".into(), rps_mixed);
     results.insert("serve.mixed.p50_ns".into(), percentile(&lat_mixed, 50));

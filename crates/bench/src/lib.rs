@@ -12,9 +12,13 @@
 //! | `table2` | Table 2 — buffer page writes, ITERATE vs RECURSIVE |
 //! | `ablation` | execution-mode & design-choice ablations |
 //!
-//! `cargo bench` runs the criterion wrappers over the same kernels.
+//! Every timed number comes from [`measure::measure`]: warm-up rounds,
+//! then interleaved rounds that run each case once in a rotating order,
+//! summarized as median, quartiles and extremes.
 
-use std::time::{Duration, Instant};
+pub mod measure;
+
+use std::time::Duration;
 
 use plaway_common::{Result, Value};
 use plaway_core::{compile_sql, CompileOptions, Compiled};
@@ -41,17 +45,6 @@ impl BenchSetup {
         self.interp.call(&mut self.session, self.fn_name, args)
     }
 
-    /// Time `runs` interpreted invocations (returns per-run durations).
-    pub fn time_interp(&mut self, args: &[Value], runs: usize) -> Result<Vec<Duration>> {
-        let mut out = Vec::with_capacity(runs);
-        for _ in 0..runs {
-            let t0 = Instant::now();
-            self.interp.call(&mut self.session, self.fn_name, args)?;
-            out.push(t0.elapsed());
-        }
-        Ok(out)
-    }
-
     /// Drive `calls` as N independent interpreted invocations, each paying
     /// the full executor lifecycle around its outer statement — the
     /// "millions of scalar calls" loop the batch trampoline replaces.
@@ -69,24 +62,6 @@ impl BenchSetup {
             let v = self.interp.call(&mut self.session, self.fn_name, args)?;
             self.session.executor_end(handle);
             out.push(v);
-        }
-        Ok(out)
-    }
-
-    /// Time `runs` compiled invocations (plan prepared once, like a cached
-    /// inlined query).
-    pub fn time_compiled(
-        &mut self,
-        compiled: &Compiled,
-        args: &[Value],
-        runs: usize,
-    ) -> Result<Vec<Duration>> {
-        let plan = compiled.prepare(&mut self.session)?;
-        let mut out = Vec::with_capacity(runs);
-        for _ in 0..runs {
-            let t0 = Instant::now();
-            self.session.execute_prepared(&plan, args.to_vec())?;
-            out.push(t0.elapsed());
         }
         Ok(out)
     }
@@ -371,15 +346,6 @@ pub fn serve_batch_fib(db: &std::sync::Arc<Database>, worker: usize) -> Compiled
     compile_sql(&db.snapshot(), &source, CompileOptions::default()).expect("batch fib compile")
 }
 
-/// Mean / min / max of a duration sample, in milliseconds.
-pub fn stats_ms(samples: &[Duration]) -> (f64, f64, f64) {
-    let ms: Vec<f64> = samples.iter().map(|d| d.as_secs_f64() * 1e3).collect();
-    let mean = ms.iter().sum::<f64>() / ms.len() as f64;
-    let min = ms.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = ms.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    (mean, min, max)
-}
-
 /// Round a duration up to the configured timer resolution (Figure 11b's
 /// "coarse timer"); returns `None` when the measurement is below the timer's
 /// resolution — the paper omits those cells.
@@ -531,17 +497,5 @@ mod tests {
             with_timer_resolution(Duration::from_millis(4), 0),
             Some(Duration::from_millis(4))
         );
-    }
-
-    #[test]
-    fn stats_compute_envelope() {
-        let (mean, min, max) = stats_ms(&[
-            Duration::from_millis(10),
-            Duration::from_millis(20),
-            Duration::from_millis(30),
-        ]);
-        assert!((mean - 20.0).abs() < 1e-9);
-        assert!((min - 10.0).abs() < 1e-9);
-        assert!((max - 30.0).abs() < 1e-9);
     }
 }
