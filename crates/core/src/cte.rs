@@ -25,11 +25,13 @@
 //! keeps only the final iteration and therefore needs no trace space
 //! (Table 2).
 
+use std::cell::Cell;
+
 use plaway_common::{Error, Result, Type};
 use plaway_engine::Catalog;
 use plaway_sql::ast::{
     Cte, Expr, Query, Select, SelectItem, SetExpr, SetOp, TableAlias, TableRef, UnOp, WindowRef,
-    WindowSpec, With,
+    With,
 };
 
 use crate::anf::{AnfProgram, AnfTail};
@@ -424,9 +426,9 @@ fn entry_vals_padded(udf: &UdfProgram) -> Vec<Expr> {
 /// never drop a parameter that is actually referenced. Keywords are not
 /// names.
 fn used_params(anf: &AnfProgram, params: &[(String, Type)]) -> Vec<String> {
-    let mut names = NameScan {
+    let names = NameScan {
         params,
-        used: vec![false; params.len()],
+        used: vec![Cell::new(false); params.len()],
     };
     let reachable = anf.reachable();
     for (f, _) in anf.funcs.iter().zip(reachable).filter(|(_, r)| *r) {
@@ -438,25 +440,27 @@ fn used_params(anf: &AnfProgram, params: &[(String, Type)]) -> Vec<String> {
     params
         .iter()
         .zip(names.used)
-        .filter(|(_, used)| *used)
+        .filter(|(_, used)| used.get())
         .map(|((p, _), _)| p.clone())
         .collect()
 }
 
-/// Marks which of `params` a walk over SQL ASTs meets as a name.
+/// Marks which of `params` a walk over SQL ASTs meets as a name. The
+/// expression names come from the shared walk; the names a query binds
+/// (CTEs, aliases, tables, windows) from its subquery hook.
 struct NameScan<'a> {
     params: &'a [(String, Type)],
-    used: Vec<bool>,
+    used: Vec<Cell<bool>>,
 }
 
 impl NameScan<'_> {
-    fn name(&mut self, name: &str) {
+    fn name(&self, name: &str) {
         if let Some(i) = self.params.iter().position(|(p, _)| p == name) {
-            self.used[i] = true;
+            self.used[i].set(true);
         }
     }
 
-    fn tail(&mut self, t: &AnfTail) {
+    fn tail(&self, t: &AnfTail) {
         match t {
             AnfTail::If { cond, then_, else_ } => {
                 self.expr(cond);
@@ -474,121 +478,73 @@ impl NameScan<'_> {
         }
     }
 
-    fn expr(&mut self, e: &Expr) {
-        e.walk(&mut |e| match e {
-            Expr::Column { qualifier, name } => {
-                if let Some(q) = qualifier {
-                    self.name(q);
+    fn expr(&self, e: &Expr) {
+        e.walk_nested(
+            &mut |e| match e {
+                Expr::Column { qualifier, name } => {
+                    if let Some(q) = qualifier {
+                        self.name(q);
+                    }
+                    self.name(name);
                 }
+                Expr::Param(name) | Expr::Func { name, .. } => self.name(name),
+                Expr::CountStar => self.name("count"),
+                Expr::WindowFunc { name, window, .. } => {
+                    self.name(name);
+                    match window {
+                        WindowRef::Named(w) => self.name(w),
+                        WindowRef::Inline(spec) => spec.base.iter().for_each(|b| self.name(b)),
+                    }
+                }
+                // The type is source text; it lexes to lowercased words.
+                Expr::Cast { ty, .. } => {
+                    for word in ty.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+                        self.name(&word.to_ascii_lowercase());
+                    }
+                }
+                _ => {}
+            },
+            &mut |q, _| {
+                self.query_names(q);
+                true
+            },
+        );
+    }
+
+    /// The names `q` itself binds or reads outside its expressions.
+    fn query_names(&self, q: &Query) {
+        for cte in q.with.iter().flat_map(|w| &w.ctes) {
+            self.name(&cte.name);
+            cte.columns.iter().for_each(|c| self.name(c));
+        }
+        q.body.for_each_select(&mut |s| {
+            for item in &s.items {
+                match item {
+                    SelectItem::Expr { alias, .. } => alias.iter().for_each(|a| self.name(a)),
+                    SelectItem::QualifiedWildcard(q) => self.name(q),
+                    SelectItem::Wildcard => {}
+                }
+            }
+            for t in &s.from {
+                t.for_each_leaf(&mut |t| match t {
+                    TableRef::Table { name, alias } => {
+                        self.name(name);
+                        alias.iter().for_each(|a| self.alias(a));
+                    }
+                    TableRef::Derived { alias, .. } => self.alias(alias),
+                    TableRef::Join { .. } => {}
+                });
+            }
+            for (name, spec) in &s.windows {
                 self.name(name);
+                spec.base.iter().for_each(|b| self.name(b));
             }
-            Expr::Param(name) | Expr::Func { name, .. } => self.name(name),
-            Expr::CountStar => self.name("count"),
-            Expr::WindowFunc { name, window, .. } => {
-                self.name(name);
-                match window {
-                    WindowRef::Named(w) => self.name(w),
-                    WindowRef::Inline(spec) => self.window_spec(spec),
-                }
-            }
-            // The type is source text; it lexes to lowercased words.
-            Expr::Cast { ty, .. } => {
-                for word in ty.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
-                    self.name(&word.to_ascii_lowercase());
-                }
-            }
-            Expr::Subquery(q) | Expr::Exists(q) | Expr::InSubquery { query: q, .. } => {
-                self.query(q)
-            }
-            _ => {}
         });
     }
 
-    fn query(&mut self, q: &Query) {
-        if let Some(with) = &q.with {
-            for cte in &with.ctes {
-                self.name(&cte.name);
-                cte.columns.iter().for_each(|c| self.name(c));
-                self.query(&cte.query);
-            }
-        }
-        self.set_expr(&q.body);
-        q.order_by.iter().for_each(|o| self.expr(&o.expr));
-        for e in q.limit.iter().chain(&q.offset) {
-            self.expr(e);
-        }
-    }
-
-    fn set_expr(&mut self, body: &SetExpr) {
-        match body {
-            SetExpr::Select(s) => self.select(s),
-            SetExpr::SetOp { left, right, .. } => {
-                self.set_expr(left);
-                self.set_expr(right);
-            }
-            SetExpr::Values(rows) => rows.iter().flatten().for_each(|e| self.expr(e)),
-            SetExpr::Query(q) => self.query(q),
-        }
-    }
-
-    fn select(&mut self, s: &Select) {
-        for item in &s.items {
-            match item {
-                SelectItem::Expr { expr, alias } => {
-                    self.expr(expr);
-                    if let Some(a) = alias {
-                        self.name(a);
-                    }
-                }
-                SelectItem::QualifiedWildcard(q) => self.name(q),
-                SelectItem::Wildcard => {}
-            }
-        }
-        s.from.iter().for_each(|t| self.table_ref(t));
-        for e in s.where_.iter().chain(&s.group_by).chain(&s.having) {
-            self.expr(e);
-        }
-        for (name, spec) in &s.windows {
-            self.name(name);
-            self.window_spec(spec);
-        }
-    }
-
-    fn table_ref(&mut self, t: &TableRef) {
-        match t {
-            TableRef::Table { name, alias } => {
-                self.name(name);
-                if let Some(a) = alias {
-                    self.alias(a);
-                }
-            }
-            TableRef::Derived { query, alias, .. } => {
-                self.query(query);
-                self.alias(alias);
-            }
-            TableRef::Join {
-                left, right, on, ..
-            } => {
-                self.table_ref(left);
-                self.table_ref(right);
-                if let Some(on) = on {
-                    self.expr(on);
-                }
-            }
-        }
-    }
-
-    fn alias(&mut self, a: &TableAlias) {
+    fn alias(&self, a: &TableAlias) {
         self.name(&a.name);
         a.columns.iter().for_each(|c| self.name(c));
-    }
-
-    fn window_spec(&mut self, spec: &WindowSpec) {
-        if let Some(base) = &spec.base {
-            self.name(base);
-        }
-        spec.partition_by.iter().for_each(|e| self.expr(e));
-        spec.order_by.iter().for_each(|o| self.expr(&o.expr));
     }
 }
 

@@ -8,20 +8,35 @@
 
 use plaway_common::Result;
 use plaway_engine::Catalog;
-use plaway_sql::ast::{Expr, InsertSource, Query, Select, SelectItem, SetExpr, Stmt, TableRef};
+use plaway_sql::ast::{Expr, InsertSource, Query, Stmt};
 
 use crate::cte::bind_args;
 use crate::pipeline::Compiled;
 
-/// Inline all calls to `compiled`'s function inside `query`.
+/// Inline all calls to `compiled`'s function inside `query`: in every
+/// expression slot of the query and of every query nested in it.
 pub fn inline_into_query(query: Query, compiled: &Compiled, catalog: &Catalog) -> Result<Query> {
-    rewrite_query(query, &mut |e| match e {
-        Expr::Func { name, args } if name == compiled.source.name => {
-            let bound = bind_args(&compiled.query, &compiled.param_names, &args, catalog)?;
-            Ok(Expr::Subquery(Box::new(bound)))
-        }
-        other => Ok(other),
-    })
+    // The rewrite is infallible; the first binding error is carried out.
+    let mut failure = None;
+    let out = query.rewrite(
+        &mut |e| match e {
+            Expr::Func { name, args } if name == compiled.source.name && failure.is_none() => {
+                match bind_args(&compiled.query, &compiled.param_names, &args, catalog) {
+                    Ok(bound) => Expr::Subquery(Box::new(bound)),
+                    Err(err) => {
+                        failure = Some(err);
+                        Expr::null()
+                    }
+                }
+            }
+            other => other,
+        },
+        &mut |_, _| true,
+    );
+    match failure {
+        Some(err) => Err(err),
+        None => Ok(out),
+    }
 }
 
 /// Inline into any statement (queries, INSERT ... SELECT, etc.).
@@ -44,221 +59,4 @@ pub fn inline_into_stmt(stmt: Stmt, compiled: &Compiled, catalog: &Catalog) -> R
         },
         other => other,
     })
-}
-
-/// Structural expression rewriter over a whole query, bottom-up, descending
-/// into subqueries, FROM items, CTEs and set-operation arms.
-fn rewrite_query(q: Query, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<Query> {
-    // Expr::rewrite is infallible; carry errors out-of-band.
-    let mut failure: Option<plaway_common::Error> = None;
-    let out = rewrite_query_infallible(q, &mut |e| match f(e) {
-        Ok(e) => e,
-        Err(err) => {
-            failure = Some(err);
-            Expr::null()
-        }
-    });
-    match failure {
-        Some(err) => Err(err),
-        None => Ok(out),
-    }
-}
-
-fn rewrite_query_infallible(mut q: Query, f: &mut impl FnMut(Expr) -> Expr) -> Query {
-    if let Some(with) = q.with.take() {
-        q.with = Some(plaway_sql::ast::With {
-            recursive: with.recursive,
-            iterate: with.iterate,
-            retire: with.retire,
-            ctes: with
-                .ctes
-                .into_iter()
-                .map(|mut cte| {
-                    cte.query = rewrite_query_infallible(cte.query, f);
-                    cte
-                })
-                .collect(),
-        });
-    }
-    q.body = rewrite_set_expr(q.body, f);
-    q.order_by = q
-        .order_by
-        .into_iter()
-        .map(|mut oi| {
-            oi.expr = rewrite_expr(oi.expr, f);
-            oi
-        })
-        .collect();
-    q.limit = q.limit.map(|e| rewrite_expr(e, f));
-    q.offset = q.offset.map(|e| rewrite_expr(e, f));
-    q
-}
-
-fn rewrite_set_expr(body: SetExpr, f: &mut impl FnMut(Expr) -> Expr) -> SetExpr {
-    match body {
-        SetExpr::Select(sel) => SetExpr::Select(Box::new(rewrite_select(*sel, f))),
-        SetExpr::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => SetExpr::SetOp {
-            op,
-            all,
-            left: Box::new(rewrite_set_expr(*left, f)),
-            right: Box::new(rewrite_set_expr(*right, f)),
-        },
-        SetExpr::Values(rows) => SetExpr::Values(
-            rows.into_iter()
-                .map(|row| row.into_iter().map(|e| rewrite_expr(e, f)).collect())
-                .collect(),
-        ),
-        SetExpr::Query(q) => SetExpr::Query(Box::new(rewrite_query_infallible(*q, f))),
-    }
-}
-
-fn rewrite_select(sel: Select, f: &mut impl FnMut(Expr) -> Expr) -> Select {
-    Select {
-        distinct: sel.distinct,
-        items: sel
-            .items
-            .into_iter()
-            .map(|item| match item {
-                SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                    expr: rewrite_expr(expr, f),
-                    alias,
-                },
-                other => other,
-            })
-            .collect(),
-        from: sel
-            .from
-            .into_iter()
-            .map(|t| rewrite_table_ref(t, f))
-            .collect(),
-        where_: sel.where_.map(|e| rewrite_expr(e, f)),
-        group_by: sel
-            .group_by
-            .into_iter()
-            .map(|e| rewrite_expr(e, f))
-            .collect(),
-        having: sel.having.map(|e| rewrite_expr(e, f)),
-        windows: sel.windows,
-    }
-}
-
-fn rewrite_table_ref(t: TableRef, f: &mut impl FnMut(Expr) -> Expr) -> TableRef {
-    match t {
-        TableRef::Table { .. } => t,
-        TableRef::Derived {
-            lateral,
-            query,
-            alias,
-        } => TableRef::Derived {
-            lateral,
-            query: Box::new(rewrite_query_infallible(*query, f)),
-            alias,
-        },
-        TableRef::Join {
-            left,
-            right,
-            kind,
-            lateral,
-            on,
-        } => TableRef::Join {
-            left: Box::new(rewrite_table_ref(*left, f)),
-            right: Box::new(rewrite_table_ref(*right, f)),
-            kind,
-            lateral,
-            on: on.map(|e| rewrite_expr(e, f)),
-        },
-    }
-}
-
-/// Bottom-up expression rewrite sharing one closure with the query walker
-/// (Expr::rewrite would need two independent closures).
-fn rewrite_expr(e: Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
-    let e = match e {
-        Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) | Expr::CountStar => e,
-        Expr::Unary { op, expr } => Expr::Unary {
-            op,
-            expr: Box::new(rewrite_expr(*expr, f)),
-        },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op,
-            left: Box::new(rewrite_expr(*left, f)),
-            right: Box::new(rewrite_expr(*right, f)),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rewrite_expr(*expr, f)),
-            negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(rewrite_expr(*expr, f)),
-            low: Box::new(rewrite_expr(*low, f)),
-            high: Box::new(rewrite_expr(*high, f)),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(rewrite_expr(*expr, f)),
-            list: list.into_iter().map(|i| rewrite_expr(i, f)).collect(),
-            negated,
-        },
-        Expr::InSubquery {
-            expr,
-            query,
-            negated,
-        } => Expr::InSubquery {
-            expr: Box::new(rewrite_expr(*expr, f)),
-            query: Box::new(rewrite_query_infallible(*query, f)),
-            negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(rewrite_expr(*expr, f)),
-            pattern: Box::new(rewrite_expr(*pattern, f)),
-            negated,
-        },
-        Expr::Case {
-            operand,
-            branches,
-            else_,
-        } => Expr::Case {
-            operand: operand.map(|o| Box::new(rewrite_expr(*o, f))),
-            branches: branches
-                .into_iter()
-                .map(|(w, t)| (rewrite_expr(w, f), rewrite_expr(t, f)))
-                .collect(),
-            else_: else_.map(|e| Box::new(rewrite_expr(*e, f))),
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name,
-            args: args.into_iter().map(|a| rewrite_expr(a, f)).collect(),
-        },
-        Expr::WindowFunc { name, args, window } => Expr::WindowFunc {
-            name,
-            args: args.into_iter().map(|a| rewrite_expr(a, f)).collect(),
-            window,
-        },
-        Expr::Subquery(q) => Expr::Subquery(Box::new(rewrite_query_infallible(*q, f))),
-        Expr::Exists(q) => Expr::Exists(Box::new(rewrite_query_infallible(*q, f))),
-        Expr::Row(items) => Expr::Row(items.into_iter().map(|i| rewrite_expr(i, f)).collect()),
-        Expr::Cast { expr, ty } => Expr::Cast {
-            expr: Box::new(rewrite_expr(*expr, f)),
-            ty,
-        },
-    };
-    f(e)
 }

@@ -285,7 +285,7 @@ fn fold_expr(e: Expr, n_folded: &mut usize) -> Expr {
                 other => other,
             }
         },
-        &mut |q| q, // leave subqueries untouched (they are opaque here)
+        &mut |_, _| false, // leave subqueries untouched (they are opaque here)
     )
 }
 

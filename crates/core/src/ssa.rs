@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 
 use plaway_common::{Error, Result, Type};
 use plaway_engine::Catalog;
-use plaway_sql::ast::{Expr, WindowRef, WindowSpec};
+use plaway_sql::ast::Expr;
 
 use crate::cfg::{BlockId, Cfg, Term};
 use crate::subst::{subst_expr, Subst};
@@ -225,111 +225,23 @@ impl SsaProgram {
 /// Free (unqualified, outside-subquery-scope-agnostic) identifier harvest:
 /// SSA names are always bare columns, so a syntactic walk is enough for
 /// validation purposes (names bound inside subqueries may shadow — the
-/// validator tolerates unknown names by ignoring them).
+/// validator tolerates unknown names by ignoring them). SSA variables reach
+/// every slot of a nested query: derived tables (the row-loop fetch query
+/// nests the loop source under `(q) AS __rows`), LIMIT/OFFSET (it
+/// paginates with `OFFSET pos - 1`), window specs.
 pub(crate) fn collect_free_names(e: &Expr, out: &mut Vec<String>) {
-    e.walk(&mut |sub| {
-        if let Expr::Column {
-            qualifier: None,
-            name,
-        } = sub
-        {
-            out.push(name.clone());
-        }
-        // Subqueries: harvest shallowly too (SSA vars can appear there).
-        match sub {
-            Expr::Subquery(q) | Expr::Exists(q) => collect_names_query(q, out),
-            Expr::InSubquery { query, .. } => collect_names_query(query, out),
-            // `walk` skips an inline OVER (...), but substitution enters it.
-            Expr::WindowFunc {
-                window: WindowRef::Inline(spec),
-                ..
-            } => collect_names_window(spec, out),
-            _ => {}
-        }
-    });
-}
-
-fn collect_names_window(spec: &WindowSpec, out: &mut Vec<String>) {
-    for e in &spec.partition_by {
-        collect_free_names(e, out);
-    }
-    for o in &spec.order_by {
-        collect_free_names(&o.expr, out);
-    }
-}
-
-fn collect_names_query(q: &plaway_sql::ast::Query, out: &mut Vec<String>) {
-    use plaway_sql::ast::{SelectItem, SetExpr, TableRef};
-    fn walk_table(t: &TableRef, out: &mut Vec<String>) {
-        match t {
-            TableRef::Table { .. } => {}
-            // SSA variables reach derived tables too (the row-loop fetch
-            // query nests the whole loop source under `(q) AS __rows`).
-            TableRef::Derived { query, .. } => collect_names_query(query, out),
-            TableRef::Join {
-                left, right, on, ..
-            } => {
-                walk_table(left, out);
-                walk_table(right, out);
-                if let Some(e) = on {
-                    collect_free_names(e, out);
-                }
+    e.walk_nested(
+        &mut |sub| {
+            if let Expr::Column {
+                qualifier: None,
+                name,
+            } = sub
+            {
+                out.push(name.clone());
             }
-        }
-    }
-    fn walk_set(s: &SetExpr, out: &mut Vec<String>) {
-        match s {
-            SetExpr::Select(sel) => {
-                for item in &sel.items {
-                    if let SelectItem::Expr { expr, .. } = item {
-                        collect_free_names(expr, out);
-                    }
-                }
-                for t in &sel.from {
-                    walk_table(t, out);
-                }
-                if let Some(w) = &sel.where_ {
-                    collect_free_names(w, out);
-                }
-                for g in &sel.group_by {
-                    collect_free_names(g, out);
-                }
-                if let Some(h) = &sel.having {
-                    collect_free_names(h, out);
-                }
-                for (_, spec) in &sel.windows {
-                    collect_names_window(spec, out);
-                }
-            }
-            SetExpr::SetOp { left, right, .. } => {
-                walk_set(left, out);
-                walk_set(right, out);
-            }
-            SetExpr::Values(rows) => {
-                for r in rows.iter().flatten() {
-                    collect_free_names(r, out);
-                }
-            }
-            SetExpr::Query(q) => collect_names_query(q, out),
-        }
-    }
-    if let Some(with) = &q.with {
-        for cte in &with.ctes {
-            collect_names_query(&cte.query, out);
-        }
-    }
-    walk_set(&q.body, out);
-    for o in &q.order_by {
-        collect_free_names(&o.expr, out);
-    }
-    // LIMIT/OFFSET expressions: the row-loop fetch paginates on an SSA
-    // variable (`OFFSET pos - 1`).
-    if let Some(l) = &q.limit {
-        collect_free_names(l, out);
-    }
-    if let Some(o) = &q.offset {
-        collect_free_names(o, out);
-    }
+        },
+        &mut |_, _| true,
+    );
 }
 
 // ---------------------------------------------------------------------------

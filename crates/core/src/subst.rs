@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use plaway_engine::Catalog;
+use plaway_engine::{known_from_columns, known_output_columns, Catalog};
 use plaway_sql::ast::{Expr, Query, Select, SelectItem, SetExpr, TableRef, WindowRef, WindowSpec};
 
 /// A substitution: variable name → replacement expression.
@@ -159,7 +159,7 @@ pub fn subst_query(q: Query, map: &Subst, catalog: &Catalog, visible: &[String])
     // from the select list which is already substituted).
     let visible_here = {
         let mut v = visible.to_vec();
-        v.extend(set_expr_output_columns(&body));
+        known_output_columns(&body, catalog, &mut v);
         v
     };
     Query {
@@ -211,7 +211,7 @@ fn subst_select(sel: Select, map: &Subst, catalog: &Catalog, visible: &[String])
     // Columns brought into scope by this SELECT's FROM clause.
     let mut inner_visible = visible.to_vec();
     for t in &sel.from {
-        collect_table_columns(t, catalog, &mut inner_visible);
+        known_from_columns(t, catalog, &mut inner_visible);
     }
 
     // FROM items are substituted left to right: a LATERAL subquery sees the
@@ -304,7 +304,7 @@ fn subst_table_ref_inner(
 ) -> TableRef {
     match t {
         TableRef::Table { .. } => {
-            collect_table_columns(&t, catalog, preceding);
+            known_from_columns(&t, catalog, preceding);
             t
         }
         TableRef::Derived {
@@ -327,7 +327,7 @@ fn subst_table_ref_inner(
                 query: Box::new(subst_query(*query, map, catalog, vis)),
                 alias,
             };
-            collect_table_columns(&out, catalog, preceding);
+            known_from_columns(&out, catalog, preceding);
             out
         }
         TableRef::Join {
@@ -362,60 +362,6 @@ fn subst_table_ref_inner(
                 on: on.map(|e| subst_expr(e, map, catalog, preceding)),
             }
         }
-    }
-}
-
-/// Column names a FROM item contributes to the enclosing SELECT's scope.
-fn collect_table_columns(t: &TableRef, catalog: &Catalog, out: &mut Vec<String>) {
-    match t {
-        TableRef::Table { name, alias } => {
-            if let Some(a) = alias {
-                if !a.columns.is_empty() {
-                    out.extend(a.columns.iter().cloned());
-                    return;
-                }
-            }
-            if let Ok(table) = catalog.table(name) {
-                out.extend(table.columns.iter().map(|c| c.name.clone()));
-            }
-            // Unknown tables (CTE references etc.): contribute nothing;
-            // their columns are usually accessed qualified anyway.
-        }
-        TableRef::Derived { query, alias, .. } => {
-            if !alias.columns.is_empty() {
-                out.extend(alias.columns.iter().cloned());
-            } else {
-                out.extend(query_output_columns(query));
-            }
-        }
-        TableRef::Join { left, right, .. } => {
-            collect_table_columns(left, catalog, out);
-            collect_table_columns(right, catalog, out);
-        }
-    }
-}
-
-fn query_output_columns(q: &Query) -> Vec<String> {
-    set_expr_output_columns(&q.body)
-}
-
-fn set_expr_output_columns(body: &SetExpr) -> Vec<String> {
-    match body {
-        SetExpr::Select(sel) => sel
-            .items
-            .iter()
-            .filter_map(|i| match i {
-                SelectItem::Expr { alias: Some(a), .. } => Some(a.clone()),
-                SelectItem::Expr {
-                    expr: Expr::Column { name, .. },
-                    ..
-                } => Some(name.clone()),
-                _ => None,
-            })
-            .collect(),
-        SetExpr::SetOp { left, .. } => set_expr_output_columns(left),
-        SetExpr::Values(_) => Vec::new(),
-        SetExpr::Query(q) => query_output_columns(q),
     }
 }
 

@@ -20,7 +20,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use plaway_common::{Error, Result, Type, Value};
-use plaway_sql::ast::Language;
+use plaway_sql::ast::{Expr, Language, Query, SelectItem, SetExpr, TableRef};
 
 /// A table row.
 pub type Row = Vec<Value>;
@@ -458,90 +458,107 @@ impl Catalog {
 /// determinable name: a column reference, an aliased expression, or a
 /// wildcard over a FROM item whose columns the catalog (or an explicit
 /// alias list) names.
-pub fn query_output_columns(q: &plaway_sql::ast::Query, catalog: &Catalog) -> Result<Vec<String>> {
-    use plaway_sql::ast::{SelectItem, SetExpr, TableRef};
+pub fn query_output_columns(q: &Query, catalog: &Catalog) -> Result<Vec<String>> {
+    let mut out = Vec::new();
+    body_columns(&q.body, catalog, false, &mut out)?;
+    Ok(out)
+}
 
-    fn from_columns(t: &TableRef, catalog: &Catalog, out: &mut Vec<String>) -> Result<()> {
-        match t {
-            TableRef::Table { name, alias } => {
-                if let Some(a) = alias {
-                    if !a.columns.is_empty() {
-                        out.extend(a.columns.iter().cloned());
-                        return Ok(());
+/// The lenient [`query_output_columns`] of a query body: an item whose name
+/// cannot be derived without planning (an unaliased expression, a table the
+/// catalog does not know, such as a CTE) contributes nothing instead of
+/// failing. Variable substitution uses it to tell columns from variables.
+pub fn known_output_columns(body: &SetExpr, catalog: &Catalog, out: &mut Vec<String>) {
+    // Lenient inference never fails.
+    let _ = body_columns(body, catalog, true, out);
+}
+
+/// The column names a FROM item brings into its SELECT's scope, leniently
+/// (see [`known_output_columns`]).
+pub fn known_from_columns(t: &TableRef, catalog: &Catalog, out: &mut Vec<String>) {
+    let _ = from_columns(t, catalog, true, out);
+}
+
+fn from_columns(
+    t: &TableRef,
+    catalog: &Catalog,
+    lenient: bool,
+    out: &mut Vec<String>,
+) -> Result<()> {
+    match t {
+        TableRef::Table { name, alias } => match alias {
+            Some(a) if !a.columns.is_empty() => out.extend(a.columns.iter().cloned()),
+            _ => match catalog.table(name) {
+                Ok(table) => out.extend(table.columns.iter().map(|c| c.name.clone())),
+                Err(_) if lenient => {}
+                Err(e) => return Err(e),
+            },
+        },
+        TableRef::Derived { alias, query, .. } if alias.columns.is_empty() => {
+            body_columns(&query.body, catalog, lenient, out)?
+        }
+        TableRef::Derived { alias, .. } => out.extend(alias.columns.iter().cloned()),
+        TableRef::Join { left, right, .. } => {
+            from_columns(left, catalog, lenient, out)?;
+            from_columns(right, catalog, lenient, out)?;
+        }
+    }
+    Ok(())
+}
+
+fn body_columns(
+    s: &SetExpr,
+    catalog: &Catalog,
+    lenient: bool,
+    out: &mut Vec<String>,
+) -> Result<()> {
+    let sel = match s {
+        SetExpr::Select(sel) => sel,
+        SetExpr::SetOp { left, .. } => return body_columns(left, catalog, lenient, out),
+        SetExpr::Query(q) => return body_columns(&q.body, catalog, lenient, out),
+        SetExpr::Values(rows) => {
+            let width = rows.first().map_or(0, Vec::len);
+            out.extend((1..=width).map(|i| format!("column{i}")));
+            return Ok(());
+        }
+    };
+    for item in &sel.items {
+        match item {
+            SelectItem::Expr { alias: Some(a), .. } => out.push(a.clone()),
+            SelectItem::Expr {
+                expr: Expr::Column { name, .. },
+                alias: None,
+            } => out.push(name.clone()),
+            SelectItem::Expr { .. } if lenient => {}
+            SelectItem::Expr { expr, alias: None } => {
+                return Err(Error::plan(format!(
+                    "cannot derive a column name for {expr}; \
+                     add an alias (`{expr} AS name`) so the row \
+                     variable's field can be referenced"
+                )))
+            }
+            SelectItem::Wildcard => {
+                for t in &sel.from {
+                    from_columns(t, catalog, lenient, out)?;
+                }
+            }
+            SelectItem::QualifiedWildcard(q) => {
+                let t = sel.from.iter().find(|t| match t {
+                    TableRef::Table { name, alias } => {
+                        alias.as_ref().map(|a| a.name.as_str()).unwrap_or(name) == q
                     }
+                    TableRef::Derived { alias, .. } => alias.name == *q,
+                    TableRef::Join { .. } => false,
+                });
+                match t {
+                    Some(t) => from_columns(t, catalog, lenient, out)?,
+                    None if lenient => {}
+                    None => return Err(Error::plan(format!("unknown wildcard qualifier {q:?}"))),
                 }
-                let table = catalog.table(name)?;
-                out.extend(table.columns.iter().map(|c| c.name.clone()));
-                Ok(())
-            }
-            TableRef::Derived { alias, query, .. } => {
-                if !alias.columns.is_empty() {
-                    out.extend(alias.columns.iter().cloned());
-                    Ok(())
-                } else {
-                    out.extend(query_output_columns(query, catalog)?);
-                    Ok(())
-                }
-            }
-            TableRef::Join { left, right, .. } => {
-                from_columns(left, catalog, out)?;
-                from_columns(right, catalog, out)
             }
         }
     }
-
-    fn set_columns(s: &SetExpr, catalog: &Catalog) -> Result<Vec<String>> {
-        match s {
-            SetExpr::Select(sel) => {
-                let mut out = Vec::with_capacity(sel.items.len());
-                for item in &sel.items {
-                    match item {
-                        SelectItem::Expr { alias: Some(a), .. } => out.push(a.clone()),
-                        SelectItem::Expr {
-                            expr: plaway_sql::ast::Expr::Column { name, .. },
-                            alias: None,
-                        } => out.push(name.clone()),
-                        SelectItem::Expr { expr, alias: None } => {
-                            return Err(Error::plan(format!(
-                                "cannot derive a column name for {expr}; \
-                                 add an alias (`{expr} AS name`) so the row \
-                                 variable's field can be referenced"
-                            )))
-                        }
-                        SelectItem::Wildcard => {
-                            for t in &sel.from {
-                                from_columns(t, catalog, &mut out)?;
-                            }
-                        }
-                        SelectItem::QualifiedWildcard(q) => {
-                            let t = sel
-                                .from
-                                .iter()
-                                .find(|t| match t {
-                                    TableRef::Table { name, alias } => {
-                                        alias.as_ref().map(|a| a.name.as_str()).unwrap_or(name) == q
-                                    }
-                                    TableRef::Derived { alias, .. } => alias.name == *q,
-                                    TableRef::Join { .. } => false,
-                                })
-                                .ok_or_else(|| {
-                                    Error::plan(format!("unknown wildcard qualifier {q:?}"))
-                                })?;
-                            from_columns(t, catalog, &mut out)?;
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            SetExpr::SetOp { left, .. } => set_columns(left, catalog),
-            SetExpr::Query(q) => query_output_columns(q, catalog),
-            SetExpr::Values(rows) => Ok((1..=rows.first().map_or(0, Vec::len))
-                .map(|i| format!("column{i}"))
-                .collect()),
-        }
-    }
-
-    set_columns(&q.body, catalog)
+    Ok(())
 }
 
 #[cfg(test)]

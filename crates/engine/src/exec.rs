@@ -1545,7 +1545,8 @@ fn exec_cte_body_fused(
     }
     // The filter predicate or projections could re-read the CTE through a
     // nested sub-plan; those still need the materialized entry in the map.
-    if expr_scans_cte(pred, *index) || exprs.iter().any(|e| expr_scans_cte(e, *index)) {
+    let scan = |p: &PlanNode| matches!(p, PlanNode::CteScan { index: i } if i == index);
+    if expr_reads(pred, &scan) || exprs.iter().any(|e| expr_reads(e, &scan)) {
         return None;
     }
     let arc = rt.ctes.remove(index)?;
@@ -1665,142 +1666,28 @@ fn pipeline_steps(plan: &PlanNode, index: usize) -> Option<Vec<Step<'_>>> {
     Some(steps)
 }
 
-/// Does the expression hold a sub-plan that scans the materialized CTE
-/// `index`? (Guards the fused `WITH`-body consumer, which takes the CTE's
-/// rows out of the runtime map.)
-fn expr_scans_cte(e: &ExprIr, index: usize) -> bool {
-    fn plan_scans_cte(p: &PlanNode, index: usize) -> bool {
-        if matches!(p, PlanNode::CteScan { index: i } if *i == index) {
-            return true;
-        }
-        let mut found = false;
-        p.for_each_child(&mut |c| {
-            if plan_scans_cte(c, index) {
-                found = true;
-            }
-        });
-        if !found {
-            p.for_each_expr(&mut |e| {
-                if expr_scans_cte(e, index) {
-                    found = true;
-                }
-            });
-        }
+/// Does the expression, through a plan nested anywhere inside it (the
+/// tree fallbacks of compiled programs included), hold a plan node `hit`
+/// picks out — say, a scan of one CTE or of one working table?
+pub(crate) fn expr_reads(e: &ExprIr, hit: &impl Fn(&PlanNode) -> bool) -> bool {
+    fn plan_reads(p: &PlanNode, hit: &impl Fn(&PlanNode) -> bool) -> bool {
+        let mut found = hit(p);
+        p.for_each_child(&mut |c| found = found || plan_reads(c, hit));
+        p.for_each_expr(&mut |e| found = found || expr_reads(e, hit));
         found
     }
     let mut found = false;
-    walk_expr_plans(e, &mut |p| {
-        if plan_scans_cte(p, index) {
-            found = true;
-        }
-    });
+    e.for_each_plan(&mut |p| found = found || plan_reads(p, hit));
+    e.for_each_child(&mut |c| found = found || expr_reads(c, hit));
     found
 }
 
-/// Does the expression (or any plan nested inside it) read the working table
-/// of the given CTE index?
+/// Does the expression read the working table of the given CTE index?
 pub(crate) fn expr_uses_working(e: &ExprIr, index: usize) -> bool {
-    let mut found = false;
-    walk_expr_plans(e, &mut |p| {
-        if plan_uses_working(p, index) {
-            found = true;
-        }
-    });
-    found
-}
-
-fn plan_uses_working(p: &PlanNode, index: usize) -> bool {
-    if matches!(p, PlanNode::WorkingScan { index: i } if *i == index) {
-        return true;
-    }
-    let mut found = false;
-    p.for_each_child(&mut |c| {
-        if plan_uses_working(c, index) {
-            found = true;
-        }
-    });
-    if !found {
-        p.for_each_expr(&mut |e| {
-            if expr_uses_working(e, index) {
-                found = true;
-            }
-        });
-    }
-    found
-}
-
-/// Visit every plan held inside an expression (sub-plans, and sub-plans
-/// reachable through compiled programs' tree fallbacks).
-fn walk_expr_plans(e: &ExprIr, f: &mut impl FnMut(&PlanNode)) {
-    match e {
-        ExprIr::Const(_) | ExprIr::Slot { .. } | ExprIr::Param(_) => {}
-        ExprIr::Neg(x) | ExprIr::Not(x) => walk_expr_plans(x, f),
-        ExprIr::Binary { left, right, .. } => {
-            walk_expr_plans(left, f);
-            walk_expr_plans(right, f);
-        }
-        ExprIr::IsNull { expr, .. } | ExprIr::Cast { expr, .. } => walk_expr_plans(expr, f),
-        ExprIr::Between {
-            expr, low, high, ..
-        } => {
-            walk_expr_plans(expr, f);
-            walk_expr_plans(low, f);
-            walk_expr_plans(high, f);
-        }
-        ExprIr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            if let Some(o) = operand {
-                walk_expr_plans(o, f);
-            }
-            for (w, t) in branches {
-                walk_expr_plans(w, f);
-                walk_expr_plans(t, f);
-            }
-            if let Some(x) = else_ {
-                walk_expr_plans(x, f);
-            }
-        }
-        ExprIr::Coalesce(args) | ExprIr::Row(args) => {
-            for a in args {
-                walk_expr_plans(a, f);
-            }
-        }
-        ExprIr::Scalar { args, .. } | ExprIr::UdfCall { args, .. } => {
-            for a in args {
-                walk_expr_plans(a, f);
-            }
-        }
-        ExprIr::Subplan(p) => f(p),
-        ExprIr::Exists { plan } => f(plan),
-        ExprIr::Materialize { plan } => f(plan),
-        ExprIr::SnapshotFn { args, .. } => {
-            for a in args {
-                walk_expr_plans(a, f);
-            }
-        }
-        ExprIr::InPlan { expr, plan, .. } => {
-            walk_expr_plans(expr, f);
-            f(plan);
-        }
-        ExprIr::InList { expr, list, .. } => {
-            walk_expr_plans(expr, f);
-            for i in list {
-                walk_expr_plans(i, f);
-            }
-        }
-        ExprIr::Like { expr, pattern, .. } => {
-            walk_expr_plans(expr, f);
-            walk_expr_plans(pattern, f);
-        }
-        ExprIr::Vm(prog) => {
-            for t in prog.fallback_trees() {
-                walk_expr_plans(t, f);
-            }
-        }
-    }
+    expr_reads(
+        e,
+        &|p| matches!(p, PlanNode::WorkingScan { index: i } if *i == index),
+    )
 }
 
 /// Fully fused fixpoint transition: `Extend([body]) → Filter(pred) →
@@ -1851,43 +1738,7 @@ fn try_transition<'p>(steps: &[Step<'p>]) -> Option<Transition<'p>> {
 /// reach the appended column indirectly.
 pub(crate) fn pred_reads_below(e: &ExprIr, limit: usize) -> bool {
     match e {
-        ExprIr::Const(_) | ExprIr::Param(_) => true,
         ExprIr::Slot { depth, index } => *depth > 0 || *index < limit,
-        ExprIr::Neg(x) | ExprIr::Not(x) => pred_reads_below(x, limit),
-        ExprIr::Binary { left, right, .. } => {
-            pred_reads_below(left, limit) && pred_reads_below(right, limit)
-        }
-        ExprIr::IsNull { expr, .. } | ExprIr::Cast { expr, .. } => pred_reads_below(expr, limit),
-        ExprIr::Between {
-            expr, low, high, ..
-        } => {
-            pred_reads_below(expr, limit)
-                && pred_reads_below(low, limit)
-                && pred_reads_below(high, limit)
-        }
-        ExprIr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            operand
-                .as_deref()
-                .is_none_or(|o| pred_reads_below(o, limit))
-                && branches
-                    .iter()
-                    .all(|(w, t)| pred_reads_below(w, limit) && pred_reads_below(t, limit))
-                && else_.as_deref().is_none_or(|e| pred_reads_below(e, limit))
-        }
-        ExprIr::Coalesce(args) | ExprIr::Row(args) => {
-            args.iter().all(|a| pred_reads_below(a, limit))
-        }
-        ExprIr::Scalar { args, .. } => args.iter().all(|a| pred_reads_below(a, limit)),
-        ExprIr::InList { expr, list, .. } => {
-            pred_reads_below(expr, limit) && list.iter().all(|i| pred_reads_below(i, limit))
-        }
-        ExprIr::Like { expr, pattern, .. } => {
-            pred_reads_below(expr, limit) && pred_reads_below(pattern, limit)
-        }
         ExprIr::UdfCall { .. }
         | ExprIr::Subplan(_)
         | ExprIr::Exists { .. }
@@ -1895,6 +1746,7 @@ pub(crate) fn pred_reads_below(e: &ExprIr, limit: usize) -> bool {
         | ExprIr::Materialize { .. }
         | ExprIr::SnapshotFn { .. }
         | ExprIr::Vm(_) => false,
+        _ => e.all_children(|c| pred_reads_below(c, limit)),
     }
 }
 

@@ -118,41 +118,198 @@ impl ExprIr {
     /// safe for the dead-code eliminator to discard.
     pub fn is_pure_scalar(&self) -> bool {
         match self {
-            ExprIr::Const(_) | ExprIr::Slot { .. } | ExprIr::Param(_) => true,
-            ExprIr::Neg(e) | ExprIr::Not(e) => e.is_pure_scalar(),
-            ExprIr::Binary { left, right, .. } => left.is_pure_scalar() && right.is_pure_scalar(),
-            ExprIr::IsNull { expr, .. } => expr.is_pure_scalar(),
-            ExprIr::Between {
-                expr, low, high, ..
-            } => expr.is_pure_scalar() && low.is_pure_scalar() && high.is_pure_scalar(),
-            ExprIr::Case {
-                operand,
-                branches,
-                else_,
-            } => {
-                operand.as_deref().is_none_or(ExprIr::is_pure_scalar)
-                    && branches
-                        .iter()
-                        .all(|(w, t)| w.is_pure_scalar() && t.is_pure_scalar())
-                    && else_.as_deref().is_none_or(ExprIr::is_pure_scalar)
-            }
-            ExprIr::Coalesce(args) => args.iter().all(ExprIr::is_pure_scalar),
-            ExprIr::Scalar { func, args } => {
-                !func.is_volatile() && args.iter().all(ExprIr::is_pure_scalar)
-            }
             ExprIr::UdfCall { .. }
             | ExprIr::Subplan(_)
             | ExprIr::Exists { .. }
             | ExprIr::InPlan { .. }
             | ExprIr::Materialize { .. }
             | ExprIr::SnapshotFn { .. } => false,
-            ExprIr::InList { expr, list, .. } => {
-                expr.is_pure_scalar() && list.iter().all(ExprIr::is_pure_scalar)
-            }
-            ExprIr::Like { expr, pattern, .. } => expr.is_pure_scalar() && pattern.is_pure_scalar(),
-            ExprIr::Row(items) => items.iter().all(ExprIr::is_pure_scalar),
-            ExprIr::Cast { expr, .. } => expr.is_pure_scalar(),
+            ExprIr::Scalar { func, .. } if func.is_volatile() => false,
             ExprIr::Vm(prog) => prog.is_pure(),
+            _ => self.all_children(ExprIr::is_pure_scalar),
+        }
+    }
+
+    /// Does `pred` hold for every direct operand?
+    pub(crate) fn all_children(&self, mut pred: impl FnMut(&ExprIr) -> bool) -> bool {
+        let mut all = true;
+        self.for_each_child(&mut |c| all = all && pred(c));
+        all
+    }
+
+    /// Call `f` on each direct operand, left to right. The fallback trees
+    /// of a [`ExprIr::Vm`] program are its operands. Plans are not; see
+    /// `for_each_plan`.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    pub fn for_each_child(&self, f: &mut impl FnMut(&ExprIr)) {
+        match self {
+            ExprIr::Const(_)
+            | ExprIr::Slot { .. }
+            | ExprIr::Param(_)
+            | ExprIr::Subplan(_)
+            | ExprIr::Materialize { .. }
+            | ExprIr::Exists { .. } => {}
+            ExprIr::Neg(x)
+            | ExprIr::Not(x)
+            | ExprIr::IsNull { expr: x, .. }
+            | ExprIr::Cast { expr: x, .. }
+            | ExprIr::InPlan { expr: x, .. } => f(x),
+            ExprIr::Binary { left, right, .. }
+            | ExprIr::Like {
+                expr: left,
+                pattern: right,
+                ..
+            } => {
+                f(left);
+                f(right);
+            }
+            ExprIr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            ExprIr::Case {
+                operand,
+                branches,
+                else_,
+            } => {
+                operand.iter().for_each(|o| f(o));
+                for (w, t) in branches {
+                    f(w);
+                    f(t);
+                }
+                else_.iter().for_each(|e| f(e));
+            }
+            ExprIr::Coalesce(args)
+            | ExprIr::Row(args)
+            | ExprIr::Scalar { args, .. }
+            | ExprIr::UdfCall { args, .. }
+            | ExprIr::SnapshotFn { args, .. } => args.iter().for_each(f),
+            ExprIr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+            ExprIr::Vm(prog) => prog.fallback_trees().iter().for_each(f),
+        }
+    }
+
+    /// [`ExprIr::for_each_child`] over mutable operands. A
+    /// [`ExprIr::Vm`] program is shared and immutable: it has none here.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    pub(crate) fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut ExprIr)) {
+        match self {
+            ExprIr::Const(_)
+            | ExprIr::Slot { .. }
+            | ExprIr::Param(_)
+            | ExprIr::Subplan(_)
+            | ExprIr::Materialize { .. }
+            | ExprIr::Exists { .. }
+            | ExprIr::Vm(_) => {}
+            ExprIr::Neg(x)
+            | ExprIr::Not(x)
+            | ExprIr::IsNull { expr: x, .. }
+            | ExprIr::Cast { expr: x, .. }
+            | ExprIr::InPlan { expr: x, .. } => f(x),
+            ExprIr::Binary { left, right, .. }
+            | ExprIr::Like {
+                expr: left,
+                pattern: right,
+                ..
+            } => {
+                f(left);
+                f(right);
+            }
+            ExprIr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            ExprIr::Case {
+                operand,
+                branches,
+                else_,
+            } => {
+                operand.iter_mut().for_each(|o| f(o));
+                for (w, t) in branches {
+                    f(w);
+                    f(t);
+                }
+                else_.iter_mut().for_each(|e| f(e));
+            }
+            ExprIr::Coalesce(args)
+            | ExprIr::Row(args)
+            | ExprIr::Scalar { args, .. }
+            | ExprIr::UdfCall { args, .. }
+            | ExprIr::SnapshotFn { args, .. } => args.iter_mut().for_each(f),
+            ExprIr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+        }
+    }
+
+    /// Call `f` on the plan this node holds, if any: a scalar, `EXISTS`,
+    /// `IN` or materialized subquery. Plans inside a [`ExprIr::Vm`]
+    /// program's fallback trees are reached through
+    /// [`ExprIr::for_each_child`].
+    #[deny(clippy::wildcard_enum_match_arm)]
+    pub(crate) fn for_each_plan(&self, f: &mut impl FnMut(&PlanNode)) {
+        match self {
+            ExprIr::Subplan(plan)
+            | ExprIr::Exists { plan }
+            | ExprIr::Materialize { plan }
+            | ExprIr::InPlan { plan, .. } => f(plan),
+            ExprIr::Const(_)
+            | ExprIr::Slot { .. }
+            | ExprIr::Param(_)
+            | ExprIr::Neg(_)
+            | ExprIr::Not(_)
+            | ExprIr::Binary { .. }
+            | ExprIr::IsNull { .. }
+            | ExprIr::Between { .. }
+            | ExprIr::Case { .. }
+            | ExprIr::Coalesce(_)
+            | ExprIr::Scalar { .. }
+            | ExprIr::UdfCall { .. }
+            | ExprIr::SnapshotFn { .. }
+            | ExprIr::InList { .. }
+            | ExprIr::Like { .. }
+            | ExprIr::Row(_)
+            | ExprIr::Cast { .. }
+            | ExprIr::Vm(_) => {}
+        }
+    }
+
+    /// [`ExprIr::for_each_plan`] with the shared plan handle, mutable.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    pub(crate) fn for_each_plan_mut(&mut self, f: &mut impl FnMut(&mut Arc<PlanNode>)) {
+        match self {
+            ExprIr::Subplan(plan)
+            | ExprIr::Exists { plan }
+            | ExprIr::Materialize { plan }
+            | ExprIr::InPlan { plan, .. } => f(plan),
+            ExprIr::Const(_)
+            | ExprIr::Slot { .. }
+            | ExprIr::Param(_)
+            | ExprIr::Neg(_)
+            | ExprIr::Not(_)
+            | ExprIr::Binary { .. }
+            | ExprIr::IsNull { .. }
+            | ExprIr::Between { .. }
+            | ExprIr::Case { .. }
+            | ExprIr::Coalesce(_)
+            | ExprIr::Scalar { .. }
+            | ExprIr::UdfCall { .. }
+            | ExprIr::SnapshotFn { .. }
+            | ExprIr::InList { .. }
+            | ExprIr::Like { .. }
+            | ExprIr::Row(_)
+            | ExprIr::Cast { .. }
+            | ExprIr::Vm(_) => {}
         }
     }
 }
@@ -832,6 +989,209 @@ mod tests {
             args: vec![],
         };
         assert!(!udf.is_pure_scalar());
+    }
+
+    /// One of every `ExprIr` variant, each operand a distinct constant
+    /// marker and each plan a distinct table scan, with the markers and
+    /// tables it holds.
+    fn every_variant() -> Vec<(ExprIr, Vec<i64>, Vec<&'static str>)> {
+        let m = |i: i64| ExprIr::Const(Value::Int(i));
+        let b = |i: i64| Box::new(m(i));
+        let plan = |t: &str| Arc::new(PlanNode::SeqScan { table: t.into() });
+        let all = vec![
+            (ExprIr::Const(Value::Int(0)), vec![], vec![]),
+            (ExprIr::Slot { depth: 0, index: 0 }, vec![], vec![]),
+            (ExprIr::Param(0), vec![], vec![]),
+            (ExprIr::Neg(b(1)), vec![1], vec![]),
+            (ExprIr::Not(b(1)), vec![1], vec![]),
+            (
+                ExprIr::Binary {
+                    op: BinOp::Add,
+                    left: b(1),
+                    right: b(2),
+                },
+                vec![1, 2],
+                vec![],
+            ),
+            (
+                ExprIr::IsNull {
+                    expr: b(1),
+                    negated: false,
+                },
+                vec![1],
+                vec![],
+            ),
+            (
+                ExprIr::Between {
+                    expr: b(1),
+                    low: b(2),
+                    high: b(3),
+                    negated: false,
+                },
+                vec![1, 2, 3],
+                vec![],
+            ),
+            (
+                ExprIr::Case {
+                    operand: Some(b(1)),
+                    branches: vec![(m(2), m(3)), (m(4), m(5))],
+                    else_: Some(b(6)),
+                },
+                vec![1, 2, 3, 4, 5, 6],
+                vec![],
+            ),
+            (ExprIr::Coalesce(vec![m(1), m(2)]), vec![1, 2], vec![]),
+            (
+                ExprIr::Scalar {
+                    func: ScalarFn::Abs,
+                    args: vec![m(1), m(2)],
+                },
+                vec![1, 2],
+                vec![],
+            ),
+            (
+                ExprIr::UdfCall {
+                    name: "f".into(),
+                    args: vec![m(1), m(2)],
+                },
+                vec![1, 2],
+                vec![],
+            ),
+            (ExprIr::Subplan(plan("p")), vec![], vec!["p"]),
+            (ExprIr::Materialize { plan: plan("p") }, vec![], vec!["p"]),
+            (
+                ExprIr::SnapshotFn {
+                    op: SnapshotOp::Fetch,
+                    args: vec![m(1), m(2)],
+                },
+                vec![1, 2],
+                vec![],
+            ),
+            (ExprIr::Exists { plan: plan("p") }, vec![], vec!["p"]),
+            (
+                ExprIr::InList {
+                    expr: b(1),
+                    list: vec![m(2), m(3)],
+                    negated: false,
+                },
+                vec![1, 2, 3],
+                vec![],
+            ),
+            (
+                ExprIr::InPlan {
+                    expr: b(1),
+                    plan: plan("p"),
+                    negated: false,
+                },
+                vec![1],
+                vec!["p"],
+            ),
+            (
+                ExprIr::Like {
+                    expr: b(1),
+                    pattern: b(2),
+                    negated: false,
+                },
+                vec![1, 2],
+                vec![],
+            ),
+            (ExprIr::Row(vec![m(1), m(2)]), vec![1, 2], vec![]),
+            (
+                ExprIr::Cast {
+                    expr: b(1),
+                    ty: Type::Int,
+                },
+                vec![1],
+                vec![],
+            ),
+            // A compiled program's operands are its tree fallbacks.
+            (
+                ExprIr::Vm(Arc::new(crate::vm::compile(&ExprIr::Binary {
+                    op: BinOp::Add,
+                    left: Box::new(ExprIr::Subplan(plan("p"))),
+                    right: b(1),
+                }))),
+                vec![],
+                vec![],
+            ),
+        ];
+        // Listing every variant here keeps the table complete.
+        #[deny(clippy::wildcard_enum_match_arm)]
+        fn listed(e: &ExprIr) {
+            match e {
+                ExprIr::Const(_)
+                | ExprIr::Slot { .. }
+                | ExprIr::Param(_)
+                | ExprIr::Neg(_)
+                | ExprIr::Not(_)
+                | ExprIr::Binary { .. }
+                | ExprIr::IsNull { .. }
+                | ExprIr::Between { .. }
+                | ExprIr::Case { .. }
+                | ExprIr::Coalesce(_)
+                | ExprIr::Scalar { .. }
+                | ExprIr::UdfCall { .. }
+                | ExprIr::Subplan(_)
+                | ExprIr::Materialize { .. }
+                | ExprIr::SnapshotFn { .. }
+                | ExprIr::Exists { .. }
+                | ExprIr::InList { .. }
+                | ExprIr::InPlan { .. }
+                | ExprIr::Like { .. }
+                | ExprIr::Row(_)
+                | ExprIr::Cast { .. }
+                | ExprIr::Vm(_) => {}
+            }
+        }
+        all.iter().for_each(|(e, _, _)| listed(e));
+        all
+    }
+
+    fn markers(e: &ExprIr) -> Vec<i64> {
+        let mut seen = Vec::new();
+        e.for_each_child(&mut |c| match c {
+            ExprIr::Const(Value::Int(i)) => seen.push(*i),
+            other => panic!("unexpected operand {other:?}"),
+        });
+        seen
+    }
+
+    #[test]
+    fn visitors_reach_every_operand_of_every_variant() {
+        for (mut e, operands, plans) in every_variant() {
+            let mut seen_plans = Vec::new();
+            e.for_each_plan(&mut |p| match p {
+                PlanNode::SeqScan { table } => seen_plans.push(table.clone()),
+                other => panic!("unexpected plan {other:?}"),
+            });
+            assert_eq!(seen_plans, plans, "{e:?}");
+            if let ExprIr::Vm(prog) = &e {
+                // The fallback tree is the sub-plan; the `+ 1` runs on the VM.
+                let mut trees = 0;
+                e.for_each_child(&mut |c| {
+                    assert!(matches!(c, ExprIr::Subplan(_)), "{c:?}");
+                    trees += 1;
+                });
+                assert_eq!(trees, prog.fallback_trees().len());
+                assert!(trees > 0);
+                continue;
+            }
+            assert_eq!(markers(&e), operands, "{e:?}");
+            // The mutable twins reach the same operands and plans.
+            let mut seen = Vec::new();
+            e.for_each_child_mut(&mut |c| {
+                if let ExprIr::Const(Value::Int(i)) = c {
+                    seen.push(*i);
+                    *c = ExprIr::Const(Value::Int(*i * 10));
+                }
+            });
+            assert_eq!(seen, operands, "{e:?}");
+            let tens: Vec<i64> = operands.iter().map(|i| i * 10).collect();
+            assert_eq!(markers(&e), tens, "{e:?}");
+            let mut n_plans = 0;
+            e.for_each_plan_mut(&mut |_| n_plans += 1);
+            assert_eq!(n_plans, plans.len(), "{e:?}");
+        }
     }
 
     #[test]

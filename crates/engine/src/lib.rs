@@ -36,7 +36,8 @@ pub mod vm;
 pub mod window;
 
 pub use catalog::{
-    query_output_columns, Catalog, Column, FunctionDef, Index, IndexKind, PlanDep, Row, Table,
+    known_from_columns, known_output_columns, query_output_columns, Catalog, Column, FunctionDef,
+    Index, IndexKind, PlanDep, Row, Table,
 };
 pub use config::{EngineConfig, IndexMode, TierMode};
 pub use database::{Database, PlanLookup};

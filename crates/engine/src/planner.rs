@@ -574,17 +574,16 @@ impl<'a> Planner<'a> {
         }
 
         // 3. Aggregation
+        // Named windows count too: `WINDOW w AS (ORDER BY sum(x))`.
+        let named_windows = sel.windows.iter().flat_map(|(_, spec)| {
+            (spec.partition_by.iter()).chain(spec.order_by.iter().map(|o| &o.expr))
+        });
         let mut agg_calls: Vec<&Expr> = Vec::new();
-        for item in &sel.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                collect_aggregates(expr, &mut agg_calls);
-            }
-        }
-        for oi in order_by {
-            collect_aggregates(&oi.expr, &mut agg_calls);
-        }
-        if let Some(h) = &sel.having {
-            collect_aggregates(h, &mut agg_calls);
+        for e in select_exprs(sel, order_by)
+            .chain(&sel.having)
+            .chain(named_windows)
+        {
+            collect_calls(e, is_aggregate, &mut agg_calls);
         }
 
         let grouping = !sel.group_by.is_empty() || !agg_calls.is_empty();
@@ -651,13 +650,12 @@ impl<'a> Planner<'a> {
 
         // 4. Window functions
         let mut window_calls: Vec<&Expr> = Vec::new();
-        for item in &sel.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                collect_windows(expr, &mut window_calls);
-            }
-        }
-        for oi in order_by {
-            collect_windows(&oi.expr, &mut window_calls);
+        for e in select_exprs(sel, order_by) {
+            collect_calls(
+                e,
+                |e| matches!(e, Expr::WindowFunc { .. }),
+                &mut window_calls,
+            );
         }
         if !window_calls.is_empty() {
             let base_width = current_scope.cols.len();
@@ -1890,16 +1888,40 @@ fn map_children(plan: PlanNode, f: fn(PlanNode) -> PlanNode) -> PlanNode {
     }
 }
 
+/// The select list's expressions, then the ORDER BY keys.
+fn select_exprs<'e>(sel: &'e Select, order_by: &'e [OrderItem]) -> impl Iterator<Item = &'e Expr> {
+    let items = sel.items.iter().filter_map(|i| match i {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => None,
+    });
+    items.chain(order_by.iter().map(|o| &o.expr))
+}
+
 /// Quick check used by the table-less fast path.
 fn has_aggregate_or_window(e: &Expr) -> bool {
-    let mut aggs = Vec::new();
-    collect_aggregates(e, &mut aggs);
-    if !aggs.is_empty() {
-        return true;
+    let mut found = false;
+    e.walk(&mut |sub| found |= is_aggregate(sub) || matches!(sub, Expr::WindowFunc { .. }));
+    found
+}
+
+fn is_aggregate(e: &Expr) -> bool {
+    match e {
+        Expr::CountStar => true,
+        Expr::Func { name, .. } => AggFn::from_name(name).is_some(),
+        _ => false,
     }
-    let mut wins = Vec::new();
-    collect_windows(e, &mut wins);
-    !wins.is_empty()
+}
+
+/// Collect the distinct calls `is_call` picks out of `e`, in pre-order,
+/// not descending into subqueries (they aggregate on their own level).
+/// Window arguments and specs are entered: `rank() OVER (ORDER BY sum(x))`
+/// reads the grouped `sum(x)`.
+fn collect_calls<'e>(e: &'e Expr, is_call: fn(&Expr) -> bool, out: &mut Vec<&'e Expr>) {
+    e.walk(&mut |sub| {
+        if is_call(sub) && !out.contains(&sub) {
+            out.push(sub);
+        }
+    });
 }
 
 fn split_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
@@ -1913,130 +1935,6 @@ fn split_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
             split_conjuncts(right, out);
         }
         other => out.push(other),
-    }
-}
-
-/// Collect top-most aggregate calls (not descending into subqueries or into
-/// the arguments of other aggregates / window functions).
-fn collect_aggregates<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    match e {
-        Expr::CountStar if !out.contains(&e) => {
-            out.push(e);
-        }
-        Expr::Func { name, .. } if AggFn::from_name(name).is_some() && !out.contains(&e) => {
-            out.push(e);
-        }
-        // A repeated aggregate is a no-op: it must NOT fall through to the
-        // generic Func arm below, which would descend into its arguments.
-        Expr::CountStar => {}
-        Expr::Func { name, .. } if AggFn::from_name(name).is_some() => {}
-        Expr::WindowFunc { .. } | Expr::Subquery(_) | Expr::Exists(_) => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            collect_aggregates(expr, out)
-        }
-        Expr::Binary { left, right, .. } => {
-            collect_aggregates(left, out);
-            collect_aggregates(right, out);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(low, out);
-            collect_aggregates(high, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, out);
-            for i in list {
-                collect_aggregates(i, out);
-            }
-        }
-        Expr::InSubquery { expr, .. } => collect_aggregates(expr, out),
-        Expr::Like { expr, pattern, .. } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(pattern, out);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            if let Some(o) = operand {
-                collect_aggregates(o, out);
-            }
-            for (w, t) in branches {
-                collect_aggregates(w, out);
-                collect_aggregates(t, out);
-            }
-            if let Some(e) = else_ {
-                collect_aggregates(e, out);
-            }
-        }
-        Expr::Func { args, .. } | Expr::Row(args) => {
-            for a in args {
-                collect_aggregates(a, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Collect window function calls (not descending into subqueries).
-fn collect_windows<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    match e {
-        Expr::WindowFunc { .. } if !out.contains(&e) => {
-            out.push(e);
-        }
-        // Repeated window call: already collected, don't revisit.
-        Expr::WindowFunc { .. } => {}
-        Expr::Subquery(_) | Expr::Exists(_) => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            collect_windows(expr, out)
-        }
-        Expr::Binary { left, right, .. } => {
-            collect_windows(left, out);
-            collect_windows(right, out);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_windows(expr, out);
-            collect_windows(low, out);
-            collect_windows(high, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_windows(expr, out);
-            for i in list {
-                collect_windows(i, out);
-            }
-        }
-        Expr::InSubquery { expr, .. } => collect_windows(expr, out),
-        Expr::Like { expr, pattern, .. } => {
-            collect_windows(expr, out);
-            collect_windows(pattern, out);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            if let Some(o) = operand {
-                collect_windows(o, out);
-            }
-            for (w, t) in branches {
-                collect_windows(w, out);
-                collect_windows(t, out);
-            }
-            if let Some(e) = else_ {
-                collect_windows(e, out);
-            }
-        }
-        Expr::Func { args, .. } | Expr::Row(args) => {
-            for a in args {
-                collect_windows(a, out);
-            }
-        }
-        _ => {}
     }
 }
 
@@ -2054,55 +1952,35 @@ fn expr_output_name(e: &Expr) -> String {
     }
 }
 
-/// Does the query reference the given table/CTE name anywhere in a FROM?
+/// Does the query, or any query nested in it, scan the table/CTE `name`?
 fn query_references(q: &Query, name: &str) -> bool {
-    set_expr_references(&q.body, name)
-        || q.with
-            .as_ref()
-            .is_some_and(|w| w.ctes.iter().any(|c| query_references(&c.query, name)))
-}
-
-fn set_expr_references(body: &SetExpr, name: &str) -> bool {
-    match body {
-        SetExpr::Select(sel) => {
-            sel.from.iter().any(|t| table_ref_references(t, name))
-                || sel.items.iter().any(|i| match i {
-                    SelectItem::Expr { expr, .. } => expr_references(expr, name),
-                    _ => false,
-                })
-                || sel
-                    .where_
-                    .as_ref()
-                    .is_some_and(|e| expr_references(e, name))
-        }
-        SetExpr::SetOp { left, right, .. } => {
-            set_expr_references(left, name) || set_expr_references(right, name)
-        }
-        SetExpr::Values(rows) => rows.iter().flatten().any(|e| expr_references(e, name)),
-        SetExpr::Query(q) => query_references(q, name),
-    }
-}
-
-fn table_ref_references(t: &TableRef, name: &str) -> bool {
-    match t {
-        TableRef::Table { name: n, .. } => n == name,
-        TableRef::Derived { query, .. } => query_references(query, name),
-        TableRef::Join { left, right, .. } => {
-            table_ref_references(left, name) || table_ref_references(right, name)
-        }
-    }
-}
-
-fn expr_references(e: &Expr, name: &str) -> bool {
     let mut found = false;
-    e.walk(&mut |sub| match sub {
-        Expr::Subquery(q) | Expr::Exists(q) if query_references(q, name) => {
-            found = true;
+    q.walk(&mut |_| {}, &mut |q, _| {
+        found = found || body_scans(&q.body, name);
+        !found
+    });
+    found
+}
+
+/// [`query_references`] for a query body (a recursive CTE's base term).
+fn set_expr_references(body: &SetExpr, name: &str) -> bool {
+    let mut found = body_scans(body, name);
+    body.walk(&mut |_| {}, &mut |q, _| {
+        found = found || body_scans(&q.body, name);
+        !found
+    });
+    found
+}
+
+/// Does a FROM clause of `body`'s own SELECT blocks name `name`?
+fn body_scans(body: &SetExpr, name: &str) -> bool {
+    let mut found = false;
+    body.for_each_select(&mut |s| {
+        for t in &s.from {
+            t.for_each_leaf(&mut |t| {
+                found |= matches!(t, TableRef::Table { name: n, .. } if n == name)
+            });
         }
-        Expr::InSubquery { query, .. } if query_references(query, name) => {
-            found = true;
-        }
-        _ => {}
     });
     found
 }

@@ -1308,6 +1308,34 @@ mod tests {
     }
 
     #[test]
+    fn window_over_aggregates() {
+        // Window functions over a grouped query see each group's aggregate,
+        // whether the aggregate sits in the window's argument, its inline
+        // spec or a named WINDOW clause.
+        let mut s = Session::default();
+        s.run("CREATE TABLE t (g int, x int)").unwrap();
+        s.run("INSERT INTO t VALUES (1, 10), (1, 20), (2, 5), (3, 7)")
+            .unwrap();
+        let ranked = vec![
+            vec![Value::Int(1), Value::Int(3)],
+            vec![Value::Int(2), Value::Int(1)],
+            vec![Value::Int(3), Value::Int(2)],
+        ];
+        for sql in [
+            "SELECT t.g, rank() OVER (ORDER BY sum(t.x)) FROM t GROUP BY t.g ORDER BY t.g",
+            "SELECT t.g, rank() OVER w FROM t GROUP BY t.g \
+             WINDOW w AS (ORDER BY sum(t.x)) ORDER BY t.g",
+        ] {
+            assert_eq!(s.run(sql).unwrap().rows, ranked, "{sql}");
+        }
+        let r = s
+            .run("SELECT t.g, sum(sum(t.x)) OVER () FROM t GROUP BY t.g ORDER BY t.g")
+            .unwrap();
+        let totals: Vec<&Value> = r.rows.iter().map(|row| &row[1]).collect();
+        assert_eq!(totals, vec![&Value::Int(42); 3]);
+    }
+
+    #[test]
     fn range_frame_includes_peers() {
         // Default RANGE frame: peers of the current row are in the frame.
         let mut s = Session::default();
@@ -1422,6 +1450,37 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.rows[0][0], Value::Int(15));
+    }
+
+    #[test]
+    fn recursive_self_reference_in_base_term_is_found_in_every_clause() {
+        let mut s = Session::default();
+        s.run("CREATE TABLE t (g int, x int)").unwrap();
+        let sub = "(SELECT 1 FROM r)";
+        for base in [
+            "SELECT 1 FROM r".to_string(),
+            format!("SELECT {sub}"),
+            format!("SELECT 1 FROM {sub} AS d"),
+            format!("SELECT 1 FROM t JOIN t AS u ON EXISTS {sub}"),
+            format!("SELECT 1 FROM t WHERE EXISTS {sub}"),
+            format!("SELECT 1 FROM t GROUP BY {sub}"),
+            format!("SELECT 1 FROM t GROUP BY t.g HAVING EXISTS {sub}"),
+            format!("SELECT sum(t.x) OVER (PARTITION BY {sub}) FROM t"),
+            format!("SELECT sum(t.x) OVER w FROM t WINDOW w AS (ORDER BY {sub})"),
+            format!("SELECT 1 FROM (SELECT 1 FROM t ORDER BY {sub}) AS d"),
+            format!("SELECT 1 FROM (SELECT 1 FROM t LIMIT {sub}) AS d"),
+            format!("SELECT 1 FROM (WITH q AS {sub} SELECT 1 FROM q) AS d"),
+        ] {
+            let sql = format!(
+                "WITH RECURSIVE r(n) AS ({base} UNION ALL SELECT r.n + 1 FROM r WHERE r.n < 3) \
+                 SELECT r.n FROM r"
+            );
+            let err = s.run(&sql).unwrap_err().to_string();
+            assert!(
+                err.contains("must not appear in the base term"),
+                "{sql}: {err}"
+            );
+        }
     }
 
     #[test]

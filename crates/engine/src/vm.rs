@@ -638,39 +638,15 @@ pub(crate) fn chain_shape(plan: &PlanNode) -> Option<ChainShape<'_>> {
 /// nested sub-queries that flatten themselves.
 fn expr_flattenable(e: &ExprIr) -> bool {
     match e {
-        ExprIr::Const(_) | ExprIr::Slot { .. } | ExprIr::Param(_) => true,
-        ExprIr::Neg(x) | ExprIr::Not(x) => expr_flattenable(x),
-        ExprIr::Binary { left, right, .. } => expr_flattenable(left) && expr_flattenable(right),
-        ExprIr::IsNull { expr, .. } | ExprIr::Cast { expr, .. } => expr_flattenable(expr),
-        ExprIr::Between {
-            expr, low, high, ..
-        } => expr_flattenable(expr) && expr_flattenable(low) && expr_flattenable(high),
-        ExprIr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            operand.as_deref().is_none_or(expr_flattenable)
-                && branches
-                    .iter()
-                    .all(|(w, t)| expr_flattenable(w) && expr_flattenable(t))
-                && else_.as_deref().is_none_or(expr_flattenable)
-        }
-        ExprIr::Coalesce(args) | ExprIr::Row(args) => args.iter().all(expr_flattenable),
-        ExprIr::Scalar { args, .. } => args.iter().all(expr_flattenable),
-        ExprIr::InList { expr, list, .. } => {
-            expr_flattenable(expr) && list.iter().all(expr_flattenable)
-        }
-        ExprIr::Like { expr, pattern, .. } => expr_flattenable(expr) && expr_flattenable(pattern),
         ExprIr::Subplan(p) => chain_flattenable(p),
         // Snapshot accessors run as a VM op with operand-addressed args, so
         // they live happily inside a frame; Materialize's plan does not.
-        ExprIr::SnapshotFn { args, .. } => args.iter().all(expr_flattenable),
         ExprIr::UdfCall { .. }
         | ExprIr::Exists { .. }
         | ExprIr::InPlan { .. }
         | ExprIr::Materialize { .. }
         | ExprIr::Vm(_) => false,
+        _ => e.all_children(expr_flattenable),
     }
 }
 
@@ -850,89 +826,18 @@ fn precompile_expr(e: &mut ExprIr) {
 /// Recurse into sub-plans held by an expression so their own expressions are
 /// compiled too (the `Arc`s are freshly planned, so `get_mut` succeeds).
 fn precompile_nested_plans(e: &mut ExprIr) {
-    match e {
-        ExprIr::Const(_) | ExprIr::Slot { .. } | ExprIr::Param(_) | ExprIr::Vm(_) => {}
-        ExprIr::Neg(x) | ExprIr::Not(x) => precompile_nested_plans(x),
-        ExprIr::Binary { left, right, .. } => {
-            precompile_nested_plans(left);
-            precompile_nested_plans(right);
-        }
-        ExprIr::IsNull { expr, .. } | ExprIr::Cast { expr, .. } => precompile_nested_plans(expr),
-        ExprIr::Between {
-            expr, low, high, ..
-        } => {
-            precompile_nested_plans(expr);
-            precompile_nested_plans(low);
-            precompile_nested_plans(high);
-        }
-        ExprIr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            if let Some(o) = operand {
-                precompile_nested_plans(o);
-            }
-            for (w, t) in branches {
-                precompile_nested_plans(w);
-                precompile_nested_plans(t);
-            }
-            if let Some(x) = else_ {
-                precompile_nested_plans(x);
-            }
-        }
-        ExprIr::Coalesce(args) | ExprIr::Row(args) => {
-            for a in args {
-                precompile_nested_plans(a);
-            }
-        }
-        ExprIr::Scalar { args, .. } | ExprIr::UdfCall { args, .. } => {
-            for a in args {
-                precompile_nested_plans(a);
-            }
-        }
-        ExprIr::Subplan(p) => {
-            // Let-chain sub-queries are flattened into the enclosing
-            // program by `compile` — pre-compiling their expressions here
-            // would wrap them in `Vm` and defeat the flattening.
-            if !chain_flattenable(p) {
-                if let Some(p) = Arc::get_mut(p) {
-                    precompile_plan(p);
-                }
-            }
-        }
-        ExprIr::Exists { plan } => {
-            if let Some(p) = Arc::get_mut(plan) {
-                precompile_plan(p);
-            }
-        }
-        ExprIr::Materialize { plan } => {
-            if let Some(p) = Arc::get_mut(plan) {
-                precompile_plan(p);
-            }
-        }
-        ExprIr::SnapshotFn { args, .. } => {
-            for a in args {
-                precompile_nested_plans(a);
-            }
-        }
-        ExprIr::InPlan { expr, plan, .. } => {
-            precompile_nested_plans(expr);
-            if let Some(p) = Arc::get_mut(plan) {
-                precompile_plan(p);
-            }
-        }
-        ExprIr::InList { expr, list, .. } => {
-            precompile_nested_plans(expr);
-            for i in list {
-                precompile_nested_plans(i);
-            }
-        }
-        ExprIr::Like { expr, pattern, .. } => {
-            precompile_nested_plans(expr);
-            precompile_nested_plans(pattern);
-        }
+    // Let-chain sub-queries are flattened into the enclosing program by
+    // `compile` — pre-compiling their expressions here would wrap them in
+    // `Vm` and defeat the flattening.
+    if matches!(e, ExprIr::Subplan(p) if chain_flattenable(p)) {
+        return;
     }
+    e.for_each_child_mut(&mut precompile_nested_plans);
+    e.for_each_plan_mut(&mut |p| {
+        if let Some(p) = Arc::get_mut(p) {
+            precompile_plan(p);
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -942,79 +847,29 @@ fn precompile_nested_plans(e: &mut ExprIr) {
 /// expression is unsafe to hoist regardless of scope (parameters, volatile
 /// functions, UDFs, working/CTE scans).
 fn expr_free_scopes(e: &ExprIr) -> Option<usize> {
-    fn max2(a: Option<usize>, b: Option<usize>) -> Option<usize> {
-        Some(a?.max(b?))
-    }
     match e {
-        ExprIr::Const(_) => Some(0),
         ExprIr::Slot { depth, .. } => Some(depth + 1),
-        ExprIr::Param(_) => None,
-        ExprIr::Neg(x) | ExprIr::Not(x) => expr_free_scopes(x),
-        ExprIr::Binary { left, right, .. } => max2(expr_free_scopes(left), expr_free_scopes(right)),
-        ExprIr::IsNull { expr, .. } | ExprIr::Cast { expr, .. } => expr_free_scopes(expr),
-        ExprIr::Between {
-            expr, low, high, ..
-        } => max2(
-            expr_free_scopes(expr),
-            max2(expr_free_scopes(low), expr_free_scopes(high)),
-        ),
-        ExprIr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            let mut m = Some(0);
-            if let Some(o) = operand {
-                m = max2(m, expr_free_scopes(o));
-            }
-            for (w, t) in branches {
-                m = max2(m, max2(expr_free_scopes(w), expr_free_scopes(t)));
-            }
-            if let Some(x) = else_ {
-                m = max2(m, expr_free_scopes(x));
-            }
-            m
-        }
-        ExprIr::Coalesce(args) | ExprIr::Row(args) => {
-            let mut m = Some(0);
-            for a in args {
-                m = max2(m, expr_free_scopes(a));
-            }
-            m
-        }
-        ExprIr::Scalar { func, args } => {
-            if func.is_volatile() {
-                return None;
-            }
-            let mut m = Some(0);
-            for a in args {
-                m = max2(m, expr_free_scopes(a));
-            }
-            m
-        }
-        ExprIr::UdfCall { .. } => None,
+        ExprIr::Param(_) | ExprIr::UdfCall { .. } => None,
+        ExprIr::Scalar { func, .. } if func.is_volatile() => None,
         // Snapshot state is execution-local: a materialize (or any accessor
         // over its handle) must never be hoisted out of the fixpoint loop or
         // memoized across rows — the whole point of the operator is that it
         // runs exactly once *per loop entry*, not once per execution.
         ExprIr::Materialize { .. } | ExprIr::SnapshotFn { .. } => None,
-        ExprIr::Subplan(p) => plan_free_scopes(p),
-        ExprIr::Exists { plan } => plan_free_scopes(plan),
-        ExprIr::InPlan { expr, plan, .. } => max2(expr_free_scopes(expr), plan_free_scopes(plan)),
-        ExprIr::InList { expr, list, .. } => {
-            let mut m = expr_free_scopes(expr);
-            for i in list {
-                m = max2(m, expr_free_scopes(i));
-            }
-            m
-        }
-        ExprIr::Like { expr, pattern, .. } => {
-            max2(expr_free_scopes(expr), expr_free_scopes(pattern))
-        }
         // Programs are compiled leaf-first, so a nested `Vm` never occurs
         // under analysis; treat conservatively.
         ExprIr::Vm(_) => None,
+        _ => {
+            let mut m = Some(0);
+            e.for_each_child(&mut |c| m = max2(m, expr_free_scopes(c)));
+            e.for_each_plan(&mut |p| m = max2(m, plan_free_scopes(p)));
+            m
+        }
     }
+}
+
+fn max2(a: Option<usize>, b: Option<usize>) -> Option<usize> {
+    Some(a?.max(b?))
 }
 
 /// Free-scope count of a plan: how many scopes of the *enclosing* evaluation
@@ -1022,9 +877,6 @@ fn expr_free_scopes(e: &ExprIr) -> Option<usize> {
 /// result depends only on catalog contents, which cannot change within one
 /// statement execution.
 pub(crate) fn plan_free_scopes(p: &PlanNode) -> Option<usize> {
-    fn max2(a: Option<usize>, b: Option<usize>) -> Option<usize> {
-        Some(a?.max(b?))
-    }
     /// Contribution of an expression evaluated with one row pushed.
     fn pushed(e: &ExprIr) -> Option<usize> {
         Some(expr_free_scopes(e)?.saturating_sub(1))

@@ -439,38 +439,13 @@ fn needs_full_executor(ir: &ExprIr) -> bool {
         // hand-written expression could — run it with the full executor.
         | ExprIr::Materialize { .. }
         | ExprIr::SnapshotFn { .. } => true,
-        ExprIr::Const(_) | ExprIr::Slot { .. } | ExprIr::Param(_) => false,
-        ExprIr::Neg(e) | ExprIr::Not(e) => needs_full_executor(e),
-        ExprIr::Binary { left, right, .. } => {
-            needs_full_executor(left) || needs_full_executor(right)
-        }
-        ExprIr::IsNull { expr, .. } => needs_full_executor(expr),
-        ExprIr::Between {
-            expr, low, high, ..
-        } => needs_full_executor(expr) || needs_full_executor(low) || needs_full_executor(high),
-        ExprIr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            operand.as_deref().is_some_and(needs_full_executor)
-                || branches
-                    .iter()
-                    .any(|(w, t)| needs_full_executor(w) || needs_full_executor(t))
-                || else_.as_deref().is_some_and(needs_full_executor)
-        }
-        ExprIr::Coalesce(args) => args.iter().any(needs_full_executor),
-        ExprIr::Scalar { args, .. } => args.iter().any(needs_full_executor),
-        ExprIr::InList { expr, list, .. } => {
-            needs_full_executor(expr) || list.iter().any(needs_full_executor)
-        }
-        ExprIr::Like { expr, pattern, .. } => {
-            needs_full_executor(expr) || needs_full_executor(pattern)
-        }
-        ExprIr::Row(items) => items.iter().any(needs_full_executor),
-        ExprIr::Cast { expr, .. } => needs_full_executor(expr),
         // Pre-compiled programs (the engine's prepared-plan path; the
         // interpreter's own expressions are never pre-compiled).
         ExprIr::Vm(prog) => prog.has_tree_fallback(),
+        _ => {
+            let mut any = false;
+            ir.for_each_child(&mut |c| any = any || needs_full_executor(c));
+            any
+        }
     }
 }

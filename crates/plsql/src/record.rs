@@ -16,9 +16,7 @@
 //!   captures it — references inside that query are table columns, not
 //!   record fields, and are left alone.
 
-use std::cell::RefCell;
-
-use plaway_sql::ast::{Expr, OrderItem, Query, Select, SelectItem, SetExpr, TableRef, WindowSpec};
+use plaway_sql::ast::{Expr, Query, QueryScope, SetExpr, TableRef};
 
 use crate::ast::{ExceptionHandler, PlStmt, VarDecl};
 
@@ -32,14 +30,6 @@ pub enum RecordRef<'a> {
     Whole,
 }
 
-/// Shared mutable access to the caller's mapping, so the expression and
-/// query rewriters (two independent closures) can both reach it.
-type MkCell<'a> = RefCell<&'a mut dyn FnMut(RecordRef) -> Expr>;
-
-fn call_mk(mk: &MkCell, r: RecordRef) -> Expr {
-    (**mk.borrow_mut())(r)
-}
-
 /// Rewrite every reference to the record variable `var` in a statement
 /// list. `mk` maps each reference to its replacement expression.
 pub fn rewrite_stmts(
@@ -47,72 +37,66 @@ pub fn rewrite_stmts(
     var: &str,
     mk: &mut dyn FnMut(RecordRef) -> Expr,
 ) -> Vec<PlStmt> {
-    let cell: MkCell = RefCell::new(mk);
-    stmts
-        .into_iter()
-        .map(|s| rewrite_stmt(s, var, &cell))
-        .collect()
-}
-
-/// Rewrite record references inside one expression (descending into
-/// subqueries that do not capture the name).
-pub fn rewrite_expr(e: Expr, var: &str, mk: &mut dyn FnMut(RecordRef) -> Expr) -> Expr {
-    let cell: MkCell = RefCell::new(mk);
-    rw_expr(e, var, &cell)
-}
-
-/// Rewrite record references inside a full query (the loop source of a
-/// nested `FOR rec IN <query>`, which may correlate on the outer record).
-pub fn rewrite_query(q: Query, var: &str, mk: &mut dyn FnMut(RecordRef) -> Expr) -> Query {
-    let cell: MkCell = RefCell::new(mk);
-    rw_query(q, var, &cell)
-}
-
-fn rw_stmts(stmts: Vec<PlStmt>, var: &str, mk: &MkCell) -> Vec<PlStmt> {
     stmts
         .into_iter()
         .map(|s| rewrite_stmt(s, var, mk))
         .collect()
 }
 
-fn rewrite_stmt(s: PlStmt, var: &str, mk: &MkCell) -> PlStmt {
+/// Rewrite record references inside one expression (descending into
+/// subqueries that do not capture the name).
+pub fn rewrite_expr(e: Expr, var: &str, mk: &mut dyn FnMut(RecordRef) -> Expr) -> Expr {
+    e.rewrite(&mut |sub| rw_ref(sub, var, mk), &mut |q, scope| {
+        enters(q, scope, var)
+    })
+}
+
+/// Rewrite record references inside a full query (the loop source of a
+/// nested `FOR rec IN <query>`, which may correlate on the outer record).
+pub fn rewrite_query(q: Query, var: &str, mk: &mut dyn FnMut(RecordRef) -> Expr) -> Query {
+    q.rewrite(&mut |sub| rw_ref(sub, var, mk), &mut |q, scope| {
+        enters(q, scope, var)
+    })
+}
+
+fn rewrite_stmt(s: PlStmt, var: &str, mk: &mut dyn FnMut(RecordRef) -> Expr) -> PlStmt {
     match s {
         PlStmt::Assign { var: v, expr } => PlStmt::Assign {
             var: v,
-            expr: rw_expr(expr, var, mk),
+            expr: rewrite_expr(expr, var, mk),
         },
         PlStmt::If { branches, else_ } => PlStmt::If {
             branches: branches
                 .into_iter()
-                .map(|(c, b)| (rw_expr(c, var, mk), rw_stmts(b, var, mk)))
+                .map(|(c, b)| (rewrite_expr(c, var, mk), rewrite_stmts(b, var, mk)))
                 .collect(),
-            else_: rw_stmts(else_, var, mk),
+            else_: rewrite_stmts(else_, var, mk),
         },
         PlStmt::CaseStmt {
             operand,
             branches,
             else_,
         } => PlStmt::CaseStmt {
-            operand: operand.map(|o| rw_expr(o, var, mk)),
+            operand: operand.map(|o| rewrite_expr(o, var, mk)),
             branches: branches
                 .into_iter()
                 .map(|(vals, b)| {
                     (
-                        vals.into_iter().map(|v| rw_expr(v, var, mk)).collect(),
-                        rw_stmts(b, var, mk),
+                        vals.into_iter().map(|v| rewrite_expr(v, var, mk)).collect(),
+                        rewrite_stmts(b, var, mk),
                     )
                 })
                 .collect(),
-            else_: else_.map(|b| rw_stmts(b, var, mk)),
+            else_: else_.map(|b| rewrite_stmts(b, var, mk)),
         },
         PlStmt::Loop { label, body } => PlStmt::Loop {
             label,
-            body: rw_stmts(body, var, mk),
+            body: rewrite_stmts(body, var, mk),
         },
         PlStmt::While { label, cond, body } => PlStmt::While {
             label,
-            cond: rw_expr(cond, var, mk),
-            body: rw_stmts(body, var, mk),
+            cond: rewrite_expr(cond, var, mk),
+            body: rewrite_stmts(body, var, mk),
         },
         PlStmt::ForRange {
             label,
@@ -123,14 +107,14 @@ fn rewrite_stmt(s: PlStmt, var: &str, mk: &MkCell) -> PlStmt {
             reverse,
             body,
         } => {
-            let from = rw_expr(from, var, mk);
-            let to = rw_expr(to, var, mk);
-            let by = by.map(|b| rw_expr(b, var, mk));
+            let from = rewrite_expr(from, var, mk);
+            let to = rewrite_expr(to, var, mk);
+            let by = by.map(|b| rewrite_expr(b, var, mk));
             // An inner loop variable reusing the name shadows the record.
             let body = if v == var {
                 body
             } else {
-                rw_stmts(body, var, mk)
+                rewrite_stmts(body, var, mk)
             };
             PlStmt::ForRange {
                 label,
@@ -150,11 +134,11 @@ fn rewrite_stmt(s: PlStmt, var: &str, mk: &MkCell) -> PlStmt {
         } => {
             // The nested loop's query still sees the outer record; its body
             // does only when the inner variable does not shadow it.
-            let query = rw_query(query, var, mk);
+            let query = rewrite_query(query, var, mk);
             let body = if v == var {
                 body
             } else {
-                rw_stmts(body, var, mk)
+                rewrite_stmts(body, var, mk)
             };
             PlStmt::ForQuery {
                 label,
@@ -165,14 +149,14 @@ fn rewrite_stmt(s: PlStmt, var: &str, mk: &MkCell) -> PlStmt {
         }
         PlStmt::Exit { label, when } => PlStmt::Exit {
             label,
-            when: when.map(|w| rw_expr(w, var, mk)),
+            when: when.map(|w| rewrite_expr(w, var, mk)),
         },
         PlStmt::Continue { label, when } => PlStmt::Continue {
             label,
-            when: when.map(|w| rw_expr(w, var, mk)),
+            when: when.map(|w| rewrite_expr(w, var, mk)),
         },
         PlStmt::Return { expr } => PlStmt::Return {
-            expr: expr.map(|x| rw_expr(x, var, mk)),
+            expr: expr.map(|x| rewrite_expr(x, var, mk)),
         },
         PlStmt::Null => PlStmt::Null,
         PlStmt::Raise {
@@ -183,11 +167,11 @@ fn rewrite_stmt(s: PlStmt, var: &str, mk: &MkCell) -> PlStmt {
         } => PlStmt::Raise {
             level,
             format,
-            args: args.into_iter().map(|a| rw_expr(a, var, mk)).collect(),
+            args: args.into_iter().map(|a| rewrite_expr(a, var, mk)).collect(),
             condition,
         },
         PlStmt::Perform { expr } => PlStmt::Perform {
-            expr: rw_expr(expr, var, mk),
+            expr: rewrite_expr(expr, var, mk),
         },
         PlStmt::Block {
             decls,
@@ -198,7 +182,7 @@ fn rewrite_stmt(s: PlStmt, var: &str, mk: &MkCell) -> PlStmt {
             let decls: Vec<VarDecl> = decls
                 .into_iter()
                 .map(|d| VarDecl {
-                    init: d.init.map(|i| rw_expr(i, var, mk)),
+                    init: d.init.map(|i| rewrite_expr(i, var, mk)),
                     ..d
                 })
                 .collect();
@@ -206,12 +190,12 @@ fn rewrite_stmt(s: PlStmt, var: &str, mk: &MkCell) -> PlStmt {
                 (body, handlers)
             } else {
                 (
-                    rw_stmts(body, var, mk),
+                    rewrite_stmts(body, var, mk),
                     handlers
                         .into_iter()
                         .map(|h| ExceptionHandler {
                             conditions: h.conditions,
-                            body: rw_stmts(h.body, var, mk),
+                            body: rewrite_stmts(h.body, var, mk),
                         })
                         .collect(),
                 )
@@ -225,146 +209,25 @@ fn rewrite_stmt(s: PlStmt, var: &str, mk: &MkCell) -> PlStmt {
     }
 }
 
-fn rw_expr(e: Expr, var: &str, mk: &MkCell) -> Expr {
-    e.rewrite(
-        &mut |sub| match sub {
-            Expr::Column {
-                qualifier: Some(ref q),
-                ref name,
-            } if q == var => call_mk(mk, RecordRef::Field(name)),
-            Expr::Column {
-                qualifier: None,
-                ref name,
-            } if name == var => call_mk(mk, RecordRef::Whole),
-            other => other,
-        },
-        &mut |q| rw_query(q, var, mk),
-    )
-}
-
-fn rw_query(q: Query, var: &str, mk: &MkCell) -> Query {
-    if query_binds_name(&q, var) {
-        // A FROM item claims the name: references inside this query are
-        // columns of that table, not record fields.
-        return q;
-    }
-    let body = rw_set_expr(q.body, var, mk);
-    Query {
-        with: q.with, // CTE bodies are self-contained scopes; left alone.
-        body,
-        order_by: q
-            .order_by
-            .into_iter()
-            .map(|o| OrderItem {
-                expr: rw_expr(o.expr, var, mk),
-                ..o
-            })
-            .collect(),
-        limit: q.limit.map(|e| rw_expr(e, var, mk)),
-        offset: q.offset.map(|e| rw_expr(e, var, mk)),
+fn rw_ref(e: Expr, var: &str, mk: &mut dyn FnMut(RecordRef) -> Expr) -> Expr {
+    match e {
+        Expr::Column {
+            qualifier: Some(ref q),
+            ref name,
+        } if q == var => mk(RecordRef::Field(name)),
+        Expr::Column {
+            qualifier: None,
+            ref name,
+        } if name == var => mk(RecordRef::Whole),
+        other => other,
     }
 }
 
-fn rw_set_expr(s: SetExpr, var: &str, mk: &MkCell) -> SetExpr {
-    match s {
-        SetExpr::Select(sel) => {
-            let Select {
-                distinct,
-                items,
-                from,
-                where_,
-                group_by,
-                having,
-                windows,
-            } = *sel;
-            SetExpr::Select(Box::new(Select {
-                distinct,
-                items: items
-                    .into_iter()
-                    .map(|i| match i {
-                        SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                            expr: rw_expr(expr, var, mk),
-                            alias,
-                        },
-                        other => other,
-                    })
-                    .collect(),
-                from: from.into_iter().map(|t| rw_table(t, var, mk)).collect(),
-                where_: where_.map(|e| rw_expr(e, var, mk)),
-                group_by: group_by.into_iter().map(|e| rw_expr(e, var, mk)).collect(),
-                having: having.map(|e| rw_expr(e, var, mk)),
-                windows: windows
-                    .into_iter()
-                    .map(|(n, spec)| (n, rw_window(spec, var, mk)))
-                    .collect(),
-            }))
-        }
-        SetExpr::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => SetExpr::SetOp {
-            op,
-            all,
-            left: Box::new(rw_set_expr(*left, var, mk)),
-            right: Box::new(rw_set_expr(*right, var, mk)),
-        },
-        SetExpr::Values(rows) => SetExpr::Values(
-            rows.into_iter()
-                .map(|r| r.into_iter().map(|e| rw_expr(e, var, mk)).collect())
-                .collect(),
-        ),
-        SetExpr::Query(q) => SetExpr::Query(Box::new(rw_query(*q, var, mk))),
-    }
-}
-
-fn rw_table(t: TableRef, var: &str, mk: &MkCell) -> TableRef {
-    match t {
-        TableRef::Table { .. } => t,
-        TableRef::Derived {
-            lateral,
-            query,
-            alias,
-        } => TableRef::Derived {
-            lateral,
-            query: Box::new(rw_query(*query, var, mk)),
-            alias,
-        },
-        TableRef::Join {
-            left,
-            right,
-            kind,
-            lateral,
-            on,
-        } => TableRef::Join {
-            left: Box::new(rw_table(*left, var, mk)),
-            right: Box::new(rw_table(*right, var, mk)),
-            kind,
-            lateral,
-            on: on.map(|e| rw_expr(e, var, mk)),
-        },
-    }
-}
-
-fn rw_window(spec: WindowSpec, var: &str, mk: &MkCell) -> WindowSpec {
-    WindowSpec {
-        base: spec.base,
-        partition_by: spec
-            .partition_by
-            .into_iter()
-            .map(|e| rw_expr(e, var, mk))
-            .collect(),
-        order_by: spec
-            .order_by
-            .into_iter()
-            .map(|o| OrderItem {
-                expr: rw_expr(o.expr, var, mk),
-                ..o
-            })
-            .collect(),
-        frame: spec.frame,
-    }
+/// The scope rule: CTE bodies are self-contained scopes, and a query whose
+/// FROM binds the name reads table columns, not record fields; both are
+/// left alone.
+fn enters(q: &Query, scope: QueryScope, var: &str) -> bool {
+    scope != QueryScope::Cte && !query_binds_name(q, var)
 }
 
 /// Does any FROM item of the query's top-level selects bind `name` as a
@@ -411,6 +274,10 @@ mod tests {
         assert_eq!(sub("rec.a + rec.b", "rec"), "f_a + f_b");
         assert_eq!(sub("rec", "rec"), "whole");
         assert_eq!(sub("other.a", "rec"), "other.a");
+        assert_eq!(
+            sub("(SELECT sum(t.x) OVER (ORDER BY rec.a) FROM t)", "rec"),
+            "(SELECT sum(t.x) OVER (ORDER BY f_a) FROM t)"
+        );
     }
 
     #[test]

@@ -511,174 +511,10 @@ pub enum Language {
 }
 
 // --------------------------------------------------------------------------
-// Visitors / helpers used by the planner and the compiler.
+// The traversals (`Expr::walk`, `Query::walk`, `Query::rewrite`, ...) live
+// in `crate::visit`.
 
-impl Expr {
-    /// Visit every sub-expression (pre-order), including those inside
-    /// subqueries' SELECT items is NOT done here — subqueries are opaque to
-    /// this walker (callers decide whether to descend into [`Query`]).
-    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        f(self);
-        match self {
-            Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) | Expr::CountStar => {}
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                expr.walk(f)
-            }
-            Expr::Binary { left, right, .. } => {
-                left.walk(f);
-                right.walk(f);
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                expr.walk(f);
-                low.walk(f);
-                high.walk(f);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.walk(f);
-                for e in list {
-                    e.walk(f);
-                }
-            }
-            Expr::InSubquery { expr, .. } => expr.walk(f),
-            Expr::Like { expr, pattern, .. } => {
-                expr.walk(f);
-                pattern.walk(f);
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_,
-            } => {
-                if let Some(o) = operand {
-                    o.walk(f);
-                }
-                for (w, t) in branches {
-                    w.walk(f);
-                    t.walk(f);
-                }
-                if let Some(e) = else_ {
-                    e.walk(f);
-                }
-            }
-            Expr::Func { args, .. } | Expr::WindowFunc { args, .. } | Expr::Row(args) => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            Expr::Subquery(_) | Expr::Exists(_) => {}
-        }
-    }
-
-    /// Apply `f` to every sub-expression bottom-up, rebuilding the tree.
-    /// Subqueries are passed through `fq` so callers can rewrite them too.
-    pub fn rewrite(
-        self,
-        f: &mut impl FnMut(Expr) -> Expr,
-        fq: &mut impl FnMut(Query) -> Query,
-    ) -> Expr {
-        let e = match self {
-            Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) | Expr::CountStar => self,
-            Expr::Unary { op, expr } => Expr::Unary {
-                op,
-                expr: Box::new(expr.rewrite(f, fq)),
-            },
-            Expr::Binary { op, left, right } => Expr::Binary {
-                op,
-                left: Box::new(left.rewrite(f, fq)),
-                right: Box::new(right.rewrite(f, fq)),
-            },
-            Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(expr.rewrite(f, fq)),
-                negated,
-            },
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => Expr::Between {
-                expr: Box::new(expr.rewrite(f, fq)),
-                low: Box::new(low.rewrite(f, fq)),
-                high: Box::new(high.rewrite(f, fq)),
-                negated,
-            },
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => Expr::InList {
-                expr: Box::new(expr.rewrite(f, fq)),
-                list: list.into_iter().map(|e| e.rewrite(f, fq)).collect(),
-                negated,
-            },
-            Expr::InSubquery {
-                expr,
-                query,
-                negated,
-            } => Expr::InSubquery {
-                expr: Box::new(expr.rewrite(f, fq)),
-                query: Box::new(fq(*query)),
-                negated,
-            },
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => Expr::Like {
-                expr: Box::new(expr.rewrite(f, fq)),
-                pattern: Box::new(pattern.rewrite(f, fq)),
-                negated,
-            },
-            Expr::Case {
-                operand,
-                branches,
-                else_,
-            } => Expr::Case {
-                operand: operand.map(|o| Box::new(o.rewrite(f, fq))),
-                branches: branches
-                    .into_iter()
-                    .map(|(w, t)| (w.rewrite(f, fq), t.rewrite(f, fq)))
-                    .collect(),
-                else_: else_.map(|e| Box::new(e.rewrite(f, fq))),
-            },
-            Expr::Func { name, args } => Expr::Func {
-                name,
-                args: args.into_iter().map(|a| a.rewrite(f, fq)).collect(),
-            },
-            Expr::WindowFunc { name, args, window } => Expr::WindowFunc {
-                name,
-                args: args.into_iter().map(|a| a.rewrite(f, fq)).collect(),
-                window,
-            },
-            Expr::Row(items) => Expr::Row(items.into_iter().map(|a| a.rewrite(f, fq)).collect()),
-            Expr::Subquery(q) => Expr::Subquery(Box::new(fq(*q))),
-            Expr::Exists(q) => Expr::Exists(Box::new(fq(*q))),
-            Expr::Cast { expr, ty } => Expr::Cast {
-                expr: Box::new(expr.rewrite(f, fq)),
-                ty,
-            },
-        };
-        f(e)
-    }
-
-    /// Does the expression contain a subquery or `EXISTS`/`IN (SELECT)`?
-    /// Such expressions cannot take the PL/pgSQL "simple expression" fast
-    /// path.
-    pub fn has_subquery(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |e| {
-            if matches!(
-                e,
-                Expr::Subquery(_) | Expr::Exists(_) | Expr::InSubquery { .. }
-            ) {
-                found = true;
-            }
-        });
-        found
-    }
-}
+pub use crate::visit::QueryScope;
 
 #[cfg(test)]
 mod tests {
@@ -741,7 +577,7 @@ mod tests {
                 Expr::Column { name, .. } if name == "x" => Expr::int(9),
                 other => other,
             },
-            &mut |q| q,
+            &mut |_, _| true,
         );
         assert_eq!(out, Expr::binary(BinOp::Add, Expr::int(9), Expr::col("y")));
     }

@@ -16,6 +16,7 @@ pub mod lexer;
 pub mod parser;
 pub mod printer;
 pub mod token;
+pub mod visit;
 
 pub use ast::*;
 pub use lexer::Lexer;

@@ -158,6 +158,42 @@ fn rowloop_workload_differential() {
     }
 }
 
+/// A column reached through `SELECT *` of a derived table wins over a
+/// same-named PL/pgSQL variable, in the interpreter and in every compiled
+/// mode: `x` below is `d.x` (100), not the variable (7).
+#[test]
+fn star_derived_table_column_shadows_variable() {
+    let mut session = Session::default();
+    session.run("CREATE TABLE t (x int, y int)").unwrap();
+    session.run("INSERT INTO t VALUES (100, 1)").unwrap();
+    let source = "CREATE FUNCTION star_shadow() RETURNS int AS $$ \
+                  DECLARE x int := 7; r int; \
+                  BEGIN r := (SELECT d.y + x FROM (SELECT * FROM t) AS d); RETURN r; END \
+                  $$ LANGUAGE plpgsql;";
+    session.run(source).unwrap();
+    let reference = Interpreter::new()
+        .call(&mut session, "star_shadow", &[])
+        .unwrap();
+    assert_eq!(reference, Value::Int(101), "columns win over variables");
+    for options in [
+        CompileOptions::default(),
+        CompileOptions::iterate(),
+        CompileOptions::packed(),
+        CompileOptions {
+            optimize: false,
+            ..Default::default()
+        },
+    ] {
+        let compiled = compile_sql(&session.catalog, source, options).unwrap();
+        assert_eq!(
+            compiled.run(&mut session, &[]).unwrap(),
+            reference,
+            "mode {options:?}\n{}",
+            compiled.sql
+        );
+    }
+}
+
 /// Pretty-printer round trip on every generated compilation artifact: the
 /// SQL we emit re-parses to the identical AST.
 #[test]

@@ -133,21 +133,45 @@ fn inlining_matches_per_call_results() {
     s.run("INSERT INTO pairs VALUES (12, 18), (17, 5), (270, 192), (0, 9)")
         .unwrap();
     let compiled = compile_sql(&s.catalog, &w.source, CompileOptions::default()).unwrap();
-    let q = plsql_away::sql::parse_query(
-        "SELECT pairs.a, pairs.b, gcd(pairs.a, pairs.b) FROM pairs ORDER BY pairs.a",
-    )
-    .unwrap();
-    let inlined = inline_into_query(q, &compiled, &s.catalog).unwrap();
-    let text = inlined.to_string();
-    assert!(!text.contains("gcd("), "call site must be spliced: {text}");
-    let result = s.run(&text).unwrap();
-    for row in &result.rows {
-        let (a, b, g) = (
-            row[0].as_int().unwrap(),
-            row[1].as_int().unwrap(),
-            row[2].as_int().unwrap(),
-        );
-        assert_eq!(g, extras::gcd_reference(a, b), "gcd({a},{b})");
+    let pairs = [(12, 18), (17, 5), (270, 192), (0, 9)];
+    let b_of = |a: i64| pairs.iter().find(|p| p.0 == a).unwrap().1;
+    // sum(b) over the pairs whose gcd equals that of the pair with this `a`.
+    let gcd_sum = |a: i64| -> i64 {
+        let g = extras::gcd_reference(a, b_of(a));
+        pairs
+            .iter()
+            .filter(|(x, y)| extras::gcd_reference(*x, *y) == g)
+            .map(|p| p.1)
+            .sum()
+    };
+    let cases: [(&str, &dyn Fn(i64) -> i64); 3] = [
+        (
+            "SELECT pairs.a, pairs.b, gcd(pairs.a, pairs.b) FROM pairs ORDER BY pairs.a",
+            &|a| extras::gcd_reference(a, b_of(a)),
+        ),
+        // Call sites inside an inline and a named window spec.
+        (
+            "SELECT pairs.a, sum(pairs.b) OVER (PARTITION BY gcd(pairs.a, pairs.b)) FROM pairs",
+            &gcd_sum,
+        ),
+        (
+            "SELECT pairs.a, sum(pairs.b) OVER w FROM pairs \
+             WINDOW w AS (PARTITION BY gcd(pairs.a, pairs.b))",
+            &gcd_sum,
+        ),
+    ];
+    for (sql, expected) in cases {
+        let q = plsql_away::sql::parse_query(sql).unwrap();
+        let inlined = inline_into_query(q, &compiled, &s.catalog).unwrap();
+        let text = inlined.to_string();
+        assert!(!text.contains("gcd("), "call site must be spliced: {text}");
+        let result = s.run(&text).unwrap();
+        assert_eq!(result.rows.len(), pairs.len(), "{sql}");
+        for row in &result.rows {
+            let a = row[0].as_int().unwrap();
+            let got = row.last().unwrap().as_int().unwrap();
+            assert_eq!(got, expected(a), "{sql}: row a = {a}");
+        }
     }
 }
 
